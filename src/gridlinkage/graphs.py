@@ -227,8 +227,9 @@ def validate_path(graph: Graph, path: tuple[int, ...]) -> None:
         raise ValueError("empty vertex sequence is not a path")
     if len(set(path)) != len(path):
         raise ValueError("path repeats a vertex")
+    edges = graph.edges
     for a, b in zip(path, path[1:]):
-        if not graph.has_edge(a, b):
+        if ((a, b) if a < b else (b, a)) not in edges:
             raise ValueError(f"({a}, {b}) is not an edge")
 
 

@@ -59,38 +59,43 @@ def instance_to_document(instance: Instance) -> dict:
 
 
 def document_to_instance(doc: dict) -> Instance:
-    """Inverse of instance_to_document."""
+    """Inverse of instance_to_document; ValueError on a malformed document."""
     _check_header(doc, "instance")
-    labels = {int(v): str(name) for v, name in doc.get("labels", {}).items()}
-    graph = Graph.from_edges(
-        int(doc["vertex_count"]),
-        [(int(a), int(b)) for a, b in doc["edges"]],
-        labels,
-    )
-    block = doc.get("layout")
-    layout = None
-    if block is not None:
-        layout = GridLayout(
-            int(block["rows"]),
-            int(block["cols"]),
-            tuple(sorted(
-                (int(v), (int(r), int(c)))
-                for v, (r, c) in block["cells"].items()
-            )),
-            tuple(sorted(
-                (int(v), str(role)) for v, role in block["roles"].items()
-            )),
-            tuple(sorted(
-                (int(v), (int(a), int(b)))
-                for v, (a, b) in block["hosts"].items()
-            )),
+    try:
+        labels = {int(v): str(name) for v, name in doc.get("labels", {}).items()}
+        graph = Graph.from_edges(
+            int(doc["vertex_count"]),
+            [(int(a), int(b)) for a, b in doc["edges"]],
+            labels,
         )
-    return Instance.make(
-        graph,
-        [(int(s), int(t)) for s, t in doc["pairs"]],
-        layout,
-        doc.get("meta", {}),
-    )
+        block = doc.get("layout")
+        layout = None
+        if block is not None:
+            layout = GridLayout(
+                int(block["rows"]),
+                int(block["cols"]),
+                tuple(sorted(
+                    (int(v), (int(r), int(c)))
+                    for v, (r, c) in block["cells"].items()
+                )),
+                tuple(sorted(
+                    (int(v), str(role)) for v, role in block["roles"].items()
+                )),
+                tuple(sorted(
+                    (int(v), (int(a), int(b)))
+                    for v, (a, b) in block["hosts"].items()
+                )),
+            )
+        return Instance.make(
+            graph,
+            [(int(s), int(t)) for s, t in doc["pairs"]],
+            layout,
+            doc.get("meta", {}),
+        )
+    except KeyError as exc:
+        raise ValueError(f"instance document lacks field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed instance document: {exc}") from None
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -181,6 +186,7 @@ def check_solution_matches(instance: Instance, doc: dict) -> None:
 def read_edge_list(text: str) -> Graph:
     """Parse a plain 1-based edge list (`p edge N M`, `e u v` lines)."""
     vertex_count = None
+    declared_edges = 0
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -192,7 +198,7 @@ def read_edge_list(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: second problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"line {lineno}: expected 'p edge N M'")
-            vertex_count = int(parts[2])
+            vertex_count, declared_edges = int(parts[2]), int(parts[3])
         elif parts[0] == "e":
             if vertex_count is None:
                 raise ValueError(f"line {lineno}: edge before the problem line")
@@ -208,6 +214,10 @@ def read_edge_list(text: str) -> Graph:
             raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
     if vertex_count is None:
         raise ValueError("missing 'p edge N M' line")
+    if len(edges) != declared_edges:
+        raise ValueError(
+            f"problem line declares {declared_edges} edges, found {len(edges)}"
+        )
     return Graph.from_edges(vertex_count, edges)
 
 

@@ -8,6 +8,13 @@ capped counting and full enumeration are all exact.  brute_force_oracle()
 re-derives the same answers by unpruned recursion and exists to keep the
 search honest in tests.
 
+The prunes work on the free set: the vertices that are neither blocked
+nor terminals nor on a path yet.  Two vertices can still be joined iff
+they are adjacent or one connected component of the free set touches
+both of their neighborhoods.  Each search node labels those components
+at most once, flooding a component only when a prune asks about it,
+and answers every reachability question from the labels.
+
 Budgets bound the search; an exhausted budget surfaces as status
 "aborted" and is never coerced into an answer.
 """
@@ -18,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .bitsets import adjacency_masks, components, iter_bits
 from .graphs import Graph, GridLayout, ROLE_BORDER, ROLE_EXTERIOR, validate_path
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -130,43 +138,6 @@ def check_linkage(
         raise ValueError("linkage does not span all vertices")
 
 
-def _adjacency_masks(graph: Graph) -> list[int]:
-    masks = [0] * graph.vertex_count
-    for u, v in graph.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _neighbors_of_set(adj: list[int], mask: int) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= adj[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _reaches(adj: list[int], src: int, dst_bit: int, allowed: int) -> bool:
-    reach = 1 << src
-    if reach & dst_bit:
-        return True
-    frontier = reach
-    while frontier:
-        frontier = _neighbors_of_set(adj, frontier) & allowed & ~reach
-        if frontier & dst_bit:
-            return True
-        reach |= frontier
-    return False
-
-
 ORDER_ASCENDING = "ascending"
 ORDER_MIN_DEGREE = "min-degree"
 PAIR_ORDER_INPUT = "input"
@@ -202,6 +173,19 @@ def solve(
     fewest open neighbors first; ties keep input order.  Reported paths
     always follow the input pair order.  All four combinations are
     deterministic and none changes the solution set.
+
+    A node is pruned when a pair can no longer be joined: the current
+    pair from its path head to t, or a pending pair from s to t.  The
+    test is the joinability rule of the module docstring, which is
+    exactly what a breadth-first search through the free set reports,
+    so no solution is lost and node counts equal those of one search
+    per pair.  With require_spanning a node is also pruned when a free
+    component lies next to neither the head nor a terminal still to be
+    linked, since no path can enter it, or when a free vertex keeps
+    fewer than two possible path neighbors.  A node with one pair left
+    and no spanning test floods from the head only until it touches t.
+    The search keeps its own stack, so long paths do not hit the
+    recursion limit.
     """
     if mode == "decide":
         cap = 1
@@ -230,7 +214,7 @@ def solve(
     if terminal_mask & blocked_mask:
         raise ValueError("terminals cannot be blocked")
 
-    adj = _adjacency_masks(graph)
+    adj = adjacency_masks(graph)
     all_mask = (1 << n) - 1 if n else 0
     free0 = all_mask & ~terminal_mask & ~blocked_mask
     if pair_order == PAIR_ORDER_AUTO:
@@ -241,54 +225,83 @@ def solve(
                 i,
             )
         proc = tuple(sorted(range(len(pairs)), key=tightness))
+        search_pairs = tuple(pairs[i] for i in proc)
     else:
-        proc = tuple(range(len(pairs)))
-    search_pairs = tuple(pairs[i] for i in proc)
-    pending_terms = [0] * (len(search_pairs) + 1)
-    for idx in range(len(search_pairs) - 1, -1, -1):
-        s, t = search_pairs[idx]
-        pending_terms[idx] = pending_terms[idx + 1] | (1 << s) | (1 << t)
+        proc = range(len(pairs))
+        search_pairs = pairs
+    last = len(search_pairs) - 1
+    if require_spanning:
+        # pending_terms[i] / pending_nbrs[i]: terminals of search pairs
+        # i..last and the union of their neighbor sets.
+        pending_terms = [0] * (last + 2)
+        pending_nbrs = [0] * (last + 2)
+        for idx in range(last, -1, -1):
+            s, t = search_pairs[idx]
+            pending_terms[idx] = pending_terms[idx + 1] | (1 << s) | (1 << t)
+            pending_nbrs[idx] = pending_nbrs[idx + 1] | adj[s] | adj[t]
 
-    deadline = time.monotonic() + max_seconds
     start = time.monotonic()
+    deadline = start + max_seconds
     nodes = 0
     found: list[tuple[tuple[int, ...], ...]] = []
     done_paths: list[tuple[int, ...]] = []
 
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise _BudgetExhausted
-        if nodes % 4096 == 0 and time.monotonic() > deadline:
-            raise _BudgetExhausted
-
     def feasible(idx: int, head: int, free: int) -> bool:
-        s_cur, t_cur = search_pairs[idx]
-        if not _reaches(adj, head, 1 << t_cur, free | (1 << t_cur)):
+        t_cur = search_pairs[idx][1]
+        if idx == last and not require_spanning:
+            # One question only: flood out of the head's neighborhood and
+            # stop as soon as the flood touches t_cur's.
+            if adj[head] >> t_cur & 1:
+                return True
+            target = adj[t_cur] & free
+            frontier = adj[head] & free
+            rest = free ^ frontier
+            while frontier:
+                if frontier & target:
+                    return True
+                grow = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grow |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grow & rest
+                rest ^= frontier
             return False
-        for j in range(idx + 1, len(search_pairs)):
-            s, t = search_pairs[j]
-            if not _reaches(adj, s, 1 << t, free | (1 << s) | (1 << t)):
+        # Every pair must be joinable: adjacent ends, or one component of
+        # free touching both ends' neighborhoods.  Components are flooded
+        # on first touch and shared by all pairs and the spanning check.
+        comps: list[int] = []
+        labelled = 0
+        for a, b in ((head, t_cur),) + search_pairs[idx + 1:]:
+            if adj[a] >> b & 1:
+                continue
+            near_a = adj[a] & free
+            fresh = near_a & ~labelled
+            if fresh:
+                for comp in components(adj, free & ~labelled, fresh):
+                    comps.append(comp)
+                    labelled |= comp
+            near_b = adj[b] & free
+            for comp in comps:
+                if comp & near_a and comp & near_b:
+                    break
+            else:
                 return False
         if require_spanning and free:
-            entries = adj[head] | adj[t_cur]
-            for j in range(idx + 1, len(search_pairs)):
-                s, t = search_pairs[j]
-                entries |= adj[s] | adj[t]
-            reach = entries & free
-            frontier = reach
-            while frontier:
-                frontier = _neighbors_of_set(adj, frontier) & free & ~reach
-                reach |= frontier
-            if reach != free:
+            # Each free vertex must lie in a component some terminal (or
+            # the head) can enter, and must keep two possible path
+            # neighbors.
+            fresh = (adj[head] | adj[t_cur] | pending_nbrs[idx + 1]) & free & ~labelled
+            if fresh:
+                for comp in components(adj, free & ~labelled, fresh):
+                    labelled |= comp
+            if labelled != free:
                 return False
             attach_base = free | (1 << head) | pending_terms[idx + 1] | (1 << t_cur)
             m = free
             while m:
                 low = m & -m
-                v = low.bit_length() - 1
-                if (adj[v] & attach_base & ~low).bit_count() < 2:
+                if (adj[low.bit_length() - 1] & attach_base).bit_count() < 2:
                     return False
                 m ^= low
         return True
@@ -305,49 +318,84 @@ def solve(
         if cap is not None and len(found) >= cap:
             raise _CapHit
 
-    def start_pair(idx: int, free: int) -> None:
-        if idx == len(search_pairs):
-            complete(free)
-            return
-        extend(idx, search_pairs[idx][0], free, [search_pairs[idx][0]])
-
     min_degree = order == ORDER_MIN_DEGREE
-
-    def extend(idx: int, head: int, free: int, path: list[int]) -> None:
-        tick()
-        if pruning and not feasible(idx, head, free):
-            return
-        t = search_pairs[idx][1]
-        t_bit = 1 << t
-        candidates = adj[head] & (free | t_bit)
-        if min_degree:
-            ordered = sorted(
-                _iter_bits(candidates),
-                key=lambda v: ((adj[v] & free).bit_count(), v),
-            )
-        else:
-            ordered = _iter_bits(candidates)
-        for v in ordered:
-            if v == t:
-                done_paths.append(tuple(path) + (t,))
-                start_pair(idx + 1, free)
-                done_paths.pop()
-            else:
-                path.append(v)
-                extend(idx, v, free & ~(1 << v), path)
-                path.pop()
-
+    # Depth-first search with an explicit stack, so path length is not
+    # bounded by the interpreter's recursion limit.  A frame is
+    # [pair index, free set, t of the pair, candidates still to try]:
+    # a bitmask taken lowest bit first, or for min-degree a list sorted
+    # in reverse and popped from the end.  route holds the vertex lists
+    # of the pairs being routed, the current pair last.
+    stack: list[list] = []
+    route: list[list[int]] = []
     aborted = False
     try:
-        start_pair(0, free0)
+        if search_pairs:
+            idx, head, free = 0, search_pairs[0][0], free0
+            route.append([head])
+            while True:
+                # Enter the node (idx, head, free): count it, prune it or
+                # push its frame.  A pruned node gets a frame without
+                # candidates, which the loop below pops and undoes.
+                nodes += 1
+                if nodes > max_nodes:
+                    raise _BudgetExhausted
+                if nodes % 4096 == 0 and time.monotonic() > deadline:
+                    raise _BudgetExhausted
+                t = search_pairs[idx][1]
+                if pruning and not feasible(idx, head, free):
+                    candidates = 0
+                else:
+                    candidates = adj[head] & (free | (1 << t))
+                    if min_degree and candidates:
+                        candidates = sorted(
+                            iter_bits(candidates),
+                            key=lambda v: ((adj[v] & free).bit_count(), v),
+                            reverse=True,
+                        )
+                stack.append([idx, free, t, candidates])
+                # Find the next node to enter.
+                while stack:
+                    frame = stack[-1]
+                    idx, free, t, candidates = frame
+                    if not candidates:
+                        stack.pop()
+                        path = route[-1]
+                        if len(path) > 1:
+                            path.pop()
+                        else:
+                            route.pop()
+                            if idx:
+                                done_paths.pop()
+                        continue
+                    if min_degree:
+                        v = candidates.pop()
+                    else:
+                        low = candidates & -candidates
+                        frame[3] = candidates ^ low
+                        v = low.bit_length() - 1
+                    if v != t:
+                        route[-1].append(v)
+                        head, free = v, free & ~(1 << v)
+                        break
+                    done_paths.append(tuple(route[-1]) + (t,))
+                    if idx == last:
+                        complete(free)
+                        done_paths.pop()
+                        continue
+                    idx += 1
+                    head = search_pairs[idx][0]
+                    route.append([head])
+                    break
+                else:
+                    break
+        else:
+            complete(free0)
     except _CapHit:
         pass
     except _BudgetExhausted:
         aborted = True
 
-    solutions = tuple(
-        Linkage(paths, graph) for paths in sorted(found)
-    )
+    solutions = tuple([Linkage(paths, graph) for paths in sorted(found)])
     wall = time.monotonic() - start
     if aborted:
         status = STATUS_ABORTED
@@ -470,7 +518,12 @@ def irrelevant_vertices(
 ) -> IrrelevantReport:
     """Classify each non-terminal vertex by whether deleting it changes
     solvability.  Budget exhaustion is flagged per vertex, never guessed.
+
+    max_nodes bounds each solve; max_seconds is one deadline for the
+    baseline solve and the whole sweep.  A vertex the sweep does not
+    reach before the deadline is indeterminate.
     """
+    deadline = time.monotonic() + max_seconds
     baseline = solve(instance, mode="decide", max_nodes=max_nodes, max_seconds=max_seconds)
     terminals = {v for pair in instance.pairs for v in pair}
     candidates = [v for v in range(instance.graph.vertex_count) if v not in terminals]
@@ -482,8 +535,12 @@ def irrelevant_vertices(
     relevant: set[int] = set()
     indeterminate: set[int] = set()
     for v in candidates:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            indeterminate.add(v)
+            continue
         outcome = solve(
-            instance, mode="decide", max_nodes=max_nodes, max_seconds=max_seconds,
+            instance, mode="decide", max_nodes=max_nodes, max_seconds=left,
             blocked=(v,),
         )
         if outcome.status == STATUS_ABORTED:

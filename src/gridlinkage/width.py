@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
+from .bitsets import adjacency_masks, components, iter_bits
 from .graphs import Graph
 from .solver import Instance
 
@@ -52,38 +53,6 @@ class WidthResult:
     nodes_explored: int
 
 
-def _adj_masks(graph: Graph) -> list[int]:
-    masks = [0] * graph.vertex_count
-    for a, b in graph.edges:
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-    return masks
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _components(adj: list[int], mask: int) -> list[int]:
-    comps: list[int] = []
-    rest = mask
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in _bits(frontier):
-                grow |= adj[v]
-            frontier = grow & mask & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
-    return comps
-
-
 def _closure_neighbors(adj: list[int], remaining: int, v: int) -> int:
     # Survivors adjacent to v once everything outside `remaining` is
     # eliminated: walk through eliminated vertices, stop at survivors.
@@ -94,7 +63,7 @@ def _closure_neighbors(adj: list[int], remaining: int, v: int) -> int:
         seen |= frontier
         out |= frontier & remaining
         grow = 0
-        for u in _bits(frontier & ~remaining):
+        for u in iter_bits(frontier & ~remaining):
             grow |= adj[u]
         frontier = grow & ~seen
     return out
@@ -114,7 +83,7 @@ def width_of_elimination_order(graph: Graph, order: Iterable[int]) -> int:
         raise ValueError("order must be a permutation of all vertices")
     if n == 0:
         return -1
-    adj = _adj_masks(graph)
+    adj = adjacency_masks(graph)
     remaining = (1 << n) - 1
     worst = 0
     for v in seq:
@@ -136,12 +105,12 @@ def width_of_layout(graph: Graph, order: Iterable[int]) -> int:
         raise ValueError("order must be a permutation of all vertices")
     if n == 0:
         return -1
-    adj = _adj_masks(graph)
+    adj = adjacency_masks(graph)
     placed = 0
     worst = 0
     for v in seq:
         placed |= 1 << v
-        boundary = sum(1 for u in _bits(placed) if adj[u] & ~placed)
+        boundary = sum(1 for u in iter_bits(placed) if adj[u] & ~placed)
         worst = max(worst, boundary)
     return worst
 
@@ -150,7 +119,7 @@ def _degeneracy(adj: list[int], comp: int) -> int:
     rest = comp
     best = 0
     while rest:
-        v = min(_bits(rest), key=lambda u: ((adj[u] & rest).bit_count(), u))
+        v = min(iter_bits(rest), key=lambda u: ((adj[u] & rest).bit_count(), u))
         best = max(best, (adj[v] & rest).bit_count())
         rest &= ~(1 << v)
     return best
@@ -166,8 +135,8 @@ def _max_clique(adj: list[int], comp: int) -> int:
             return
         if current.bit_count() + allowed.bit_count() <= best:
             return
-        pivot = max(_bits(allowed), key=lambda u: (adj[u] & allowed).bit_count())
-        for v in _bits(allowed & ~adj[pivot]):
+        pivot = max(iter_bits(allowed), key=lambda u: (adj[u] & allowed).bit_count())
+        for v in iter_bits(allowed & ~adj[pivot]):
             grow(current | (1 << v), allowed & adj[v])
             allowed &= ~(1 << v)
 
@@ -182,16 +151,16 @@ def _min_fill_order(adj: list[int], comp: int) -> tuple[int, list[int]]:
     order: list[int] = []
     width = 0
     while remaining:
-        nbrs = {v: _closure_neighbors(adj, remaining, v) for v in _bits(remaining)}
+        nbrs = {v: _closure_neighbors(adj, remaining, v) for v in iter_bits(remaining)}
 
         def fill_needed(v: int) -> int:
             missing = 0
-            for u in _bits(nbrs[v]):
+            for u in iter_bits(nbrs[v]):
                 missing += (nbrs[v] & ~(1 << u) & ~nbrs[u]).bit_count()
             return missing // 2
 
         best = min(
-            _bits(remaining),
+            iter_bits(remaining),
             key=lambda v: (fill_needed(v), nbrs[v].bit_count(), v),
         )
         width = max(width, nbrs[best].bit_count())
@@ -206,7 +175,7 @@ def _layout_width(adj: list[int], comp: int, order: Iterable[int]) -> int:
     for v in order:
         placed |= 1 << v
         worst = max(
-            worst, sum(1 for u in _bits(placed) if adj[u] & comp & ~placed)
+            worst, sum(1 for u in iter_bits(placed) if adj[u] & comp & ~placed)
         )
     return worst
 
@@ -214,18 +183,18 @@ def _layout_width(adj: list[int], comp: int, order: Iterable[int]) -> int:
 def _greedy_layout(adj: list[int], comp: int) -> tuple[int, list[int]]:
     # Pathwidth upper bound: greedy sweep from every start vertex,
     # always placing next whatever keeps the boundary smallest.
-    best_order = sorted(_bits(comp))
+    best_order = sorted(iter_bits(comp))
     best_width = _layout_width(adj, comp, best_order)
-    for start in _bits(comp):
+    for start in iter_bits(comp):
         placed = 1 << start
         order = [start]
         width = _layout_width(adj, comp, order)
         while placed != comp and width < best_width:
             def grown(u: int) -> int:
                 nxt = placed | (1 << u)
-                return sum(1 for x in _bits(nxt) if adj[x] & comp & ~nxt)
+                return sum(1 for x in iter_bits(nxt) if adj[x] & comp & ~nxt)
 
-            v = min(_bits(comp & ~placed), key=lambda u: (grown(u), u))
+            v = min(iter_bits(comp & ~placed), key=lambda u: (grown(u), u))
             width = max(width, grown(v))
             placed |= 1 << v
             order.append(v)
@@ -258,14 +227,12 @@ def _tw_decide(
 ) -> list[int] | None:
     budget.tick()
     if comp.bit_count() <= w + 1:
-        return sorted(_bits(comp))
+        return sorted(iter_bits(comp))
     if comp in failed:
         return None
 
-    nbrs = {v: _closure_neighbors(adj, comp, v) for v in _bits(comp)}
-    pieces = _components(
-        [nbrs.get(v, 0) for v in range(len(adj))], comp
-    )
+    nbrs = {v: _closure_neighbors(adj, comp, v) for v in iter_bits(comp)}
+    pieces = components([nbrs.get(v, 0) for v in range(len(adj))], comp)
     if len(pieces) > 1:
         order: list[int] = []
         for piece in pieces:
@@ -280,10 +247,10 @@ def _tw_decide(
     # state down: eliminate it first without branching, or refute the
     # whole state when that clique is too big for the target width.
     candidates = []
-    for v in _bits(comp):
+    for v in iter_bits(comp):
         deg = nbrs[v].bit_count()
         simplicial = all(
-            nbrs[v] & ~(1 << u) & ~nbrs[u] == 0 for u in _bits(nbrs[v])
+            nbrs[v] & ~(1 << u) & ~nbrs[u] == 0 for u in iter_bits(nbrs[v])
         )
         if simplicial and deg > w:
             failed.add(comp)
@@ -320,10 +287,10 @@ def treewidth_exact(
     n = graph.vertex_count
     if n == 0:
         raise ValueError("width of the empty graph is not defined here")
-    adj = _adj_masks(graph)
+    adj = adjacency_masks(graph)
     budget = _Budget(max_nodes, max_seconds)
 
-    comps = _components(adj, (1 << n) - 1)
+    comps = components(adj, (1 << n) - 1)
     per_comp: list[tuple[int, list[int]]] = [
         _min_fill_order(adj, comp) for comp in comps
     ]
@@ -354,7 +321,7 @@ def _pw_decide(
 ) -> list[int] | None:
 
     def boundary_size(placed: int) -> int:
-        return sum(1 for u in _bits(placed) if adj[u] & comp & ~placed)
+        return sum(1 for u in iter_bits(placed) if adj[u] & comp & ~placed)
 
     def search(placed: int, order: list[int]) -> list[int] | None:
         budget.tick()
@@ -365,7 +332,7 @@ def _pw_decide(
         changed = True
         while changed:
             changed = False
-            for v in _bits(todo):
+            for v in iter_bits(todo):
                 if adj[v] & comp & ~(placed | (1 << v)) == 0:
                     placed |= 1 << v
                     absorbed += 1
@@ -379,7 +346,7 @@ def _pw_decide(
             return None
 
         moves = []
-        for v in _bits(comp & ~placed):
+        for v in iter_bits(comp & ~placed):
             nxt = placed | (1 << v)
             size = boundary_size(nxt)
             if size <= w:
@@ -412,10 +379,10 @@ def pathwidth_exact(
     n = graph.vertex_count
     if n == 0:
         raise ValueError("width of the empty graph is not defined here")
-    adj = _adj_masks(graph)
+    adj = adjacency_masks(graph)
     budget = _Budget(max_nodes, max_seconds)
 
-    comps = _components(adj, (1 << n) - 1)
+    comps = components(adj, (1 << n) - 1)
     per_comp: list[tuple[int, list[int]]] = [
         _greedy_layout(adj, comp) for comp in comps
     ]

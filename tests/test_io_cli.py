@@ -72,6 +72,51 @@ class TestInstanceRoundTrip:
             parse_instance(json.dumps(doc))
 
 
+class TestMalformedInstanceDocuments:
+    def base_doc(self):
+        return json.loads(serialize_instance(build_instance(1)))
+
+    @pytest.mark.parametrize("field", ["vertex_count", "edges", "pairs"])
+    def test_missing_field(self, field):
+        doc = self.base_doc()
+        del doc[field]
+        with pytest.raises(ValueError, match=field):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("layout", [
+        {"rows": 3},
+        {"rows": 3, "cols": 3, "cells": [], "roles": {}, "hosts": {}},
+        {"rows": 3, "cols": 3, "cells": {"0": 5}, "roles": {}, "hosts": {}},
+        [3, 3],
+    ])
+    def test_malformed_layout(self, layout):
+        doc = self.base_doc()
+        doc["layout"] = layout
+        with pytest.raises(ValueError):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(edges=[[0, None]]),
+        lambda doc: doc.update(pairs=5),
+        lambda doc: doc.update(labels=["a"]),
+        lambda doc: doc.update(meta=[1]),
+    ])
+    def test_malformed_values(self, edit):
+        doc = self.base_doc()
+        edit(doc)
+        with pytest.raises(ValueError):
+            parse_instance(json.dumps(doc))
+
+    def test_cli_exits_with_usage_error(self, tmp_path, capsys):
+        doc = self.base_doc()
+        del doc["vertex_count"]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "vertex_count" in err
+
+
 class TestSolutionDocuments:
     def fixture_pair(self):
         graph, layout = make_grid(3, 3)
@@ -135,6 +180,20 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             read_edge_list("p edge 2 1\nq 1 2\n")
 
+    @pytest.mark.parametrize("text", [
+        "p edge 3 2\ne 1 2\n",
+        "p edge 3 1\ne 1 2\ne 2 3\n",
+    ])
+    def test_rejects_wrong_edge_count(self, text):
+        with pytest.raises(ValueError, match="declares"):
+            read_edge_list(text)
+
+    def test_cli_width_rejects_wrong_edge_count(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("p edge 3 5\ne 1 2\ne 2 3\n")
+        assert main(["width", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 @pytest.fixture
 def instance_file(tmp_path):
@@ -189,6 +248,14 @@ class TestCli:
         code = main(["solve", str(instance_file), "--mode", "enumerate",
                      "--budget-nodes", "2"])
         assert code == EXIT_ABORTED
+
+    def test_solve_long_path(self, tmp_path, capsys):
+        n = 1500
+        graph = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        path = tmp_path / "path.json"
+        path.write_text(serialize_instance(Instance.make(graph, [(0, n - 1)])))
+        assert main(["solve", str(path), "--out", str(tmp_path / "sol.json")]) == EXIT_OK
+        assert "status: solvable" in capsys.readouterr().out
 
     def test_solve_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_USAGE

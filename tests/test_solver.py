@@ -232,6 +232,17 @@ class TestBudgets:
         pytest.fail("no budget produced a partial result")
 
 
+class TestLongPaths:
+    def test_path_longer_than_the_recursion_limit(self):
+        n = 1500
+        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        for spanning in (False, True):
+            out = solve(Instance.make(g, [(0, n - 1)]), require_spanning=spanning)
+            assert out.status == STATUS_SOLVABLE
+            assert [s.paths for s in out.solutions] == [(tuple(range(n)),)]
+            assert out.nodes_explored == n - 1
+
+
 class TestInstanceValidation:
     def test_duplicate_terminal(self, grid3):
         graph, layout = grid3
@@ -379,6 +390,14 @@ class TestIrrelevantVertices:
         rep = irrelevant_vertices(Instance.make(g, [(0, 2)]))
         assert rep.baseline_status == STATUS_UNSOLVABLE
         assert rep.irrelevant == frozenset({1, 3})
+
+    def test_time_budget_is_shared_by_the_sweep(self, two_pair):
+        # The baseline solve finishes before its first clock check, after
+        # which the one deadline has passed: no vertex may be classified.
+        rep = irrelevant_vertices(two_pair, max_seconds=0.0)
+        assert rep.baseline_status == STATUS_SOLVABLE
+        assert rep.indeterminate == frozenset({1, 3, 4, 5, 7})
+        assert rep.irrelevant == rep.relevant == frozenset()
 
     def test_tiny_budget_reports_indeterminate(self, two_pair):
         rep = irrelevant_vertices(two_pair, max_nodes=2)
