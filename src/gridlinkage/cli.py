@@ -146,6 +146,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     meta = instance.meta_map
     if "k" not in meta:
         raise ValueError("instance has no construction parameter k to verify against")
+    if instance.layout is None:
+        raise ValueError("instance has no grid layout to count crossings against")
     k = int(meta["k"])
     checks: list[tuple[str, str, str]] = []
 

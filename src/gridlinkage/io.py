@@ -14,7 +14,13 @@ import json
 from typing import Any
 
 from .graphs import Graph, GridLayout, crossing_report
-from .solver import Instance, Linkage, SolveOutcome, spans_all_vertices
+from .solver import (
+    Instance,
+    Linkage,
+    SolveOutcome,
+    check_linkage,
+    spans_all_vertices,
+)
 
 FORMAT_VERSION = 1
 
@@ -166,13 +172,30 @@ def parse_solution(text: str) -> dict:
 
 
 def solution_paths(instance: Instance, doc: dict, index: int = 0) -> Linkage:
-    """Extract one recorded solution as a Linkage over the instance graph."""
-    recorded = doc["solutions"]
+    """Extract one recorded solution as a Linkage over the instance graph.
+
+    Raises ValueError when the document holds no solution list or the
+    chosen entry is not a valid linkage of the instance.
+    """
+    recorded = doc.get("solutions")
+    if not isinstance(recorded, list):
+        raise ValueError("solution document has no 'solutions' list")
     if not 0 <= index < len(recorded):
         raise ValueError(
             f"document records {len(recorded)} solutions, index {index} out of range"
         )
-    return Linkage(tuple(tuple(path) for path in recorded[index]), instance.graph)
+    entry = recorded[index]
+    if not isinstance(entry, list) or not all(
+        isinstance(path, list) and all(type(v) is int for v in path)
+        for path in entry
+    ):
+        raise ValueError(f"solution {index} is not a list of vertex lists")
+    paths = tuple(tuple(path) for path in entry)
+    try:
+        check_linkage(instance, paths)
+    except ValueError as exc:
+        raise ValueError(f"solution {index}: {exc}") from exc
+    return Linkage(paths, instance.graph)
 
 
 def check_solution_matches(instance: Instance, doc: dict) -> None:

@@ -5,7 +5,7 @@ links every pair by a path, pairwise vertex-disjoint.  solve() runs a
 canonical backtracking search (pairs in input order, neighbors in
 ascending id order) whose pruning never removes solutions, so decision,
 capped counting and full enumeration are all exact.  brute_force_oracle()
-re-derives the same answers by unpruned recursion and exists to keep the
+re-derives the same answers by unpruned enumeration and exists to keep the
 search honest in tests.
 
 The prunes work on the free set: the vertices that are neither blocked
@@ -421,21 +421,28 @@ def brute_force_oracle(instance: Instance, require_spanning: bool = False) -> So
     found: list[tuple[tuple[int, ...], ...]] = []
 
     def all_paths(s: int, t: int, banned: set[int]) -> list[tuple[int, ...]]:
+        # Depth-first walk from s on an explicit stack of neighbour
+        # iterators, one per trail vertex, so long paths cannot exhaust
+        # the interpreter's recursion limit.
+        nonlocal nodes
         collected: list[tuple[int, ...]] = []
-        def walk(v: int, trail: list[int]) -> None:
-            nonlocal nodes
-            nodes += 1
-            for w in adjacency[v]:
+        trail = [s]
+        trail_set = {s}
+        nodes += 1
+        stack = [iter(adjacency[s])]
+        while stack:
+            for w in stack[-1]:
                 if w == t:
                     collected.append(tuple(trail) + (t,))
                 elif w not in banned and w not in trail_set and w not in terminals:
                     trail.append(w)
                     trail_set.add(w)
-                    walk(w, trail)
-                    trail.pop()
-                    trail_set.remove(w)
-        trail_set = {s}
-        walk(s, [s])
+                    nodes += 1
+                    stack.append(iter(adjacency[w]))
+                    break
+            else:
+                stack.pop()
+                trail_set.remove(trail.pop())
         return collected
 
     def recurse(idx: int, used: set[int], chosen: list[tuple[int, ...]]) -> None:

@@ -169,36 +169,78 @@ def _min_fill_order(adj: list[int], comp: int) -> tuple[int, list[int]]:
     return width, order
 
 
-def _layout_width(adj: list[int], comp: int, order: Iterable[int]) -> int:
-    placed = 0
-    worst = 0
-    for v in order:
-        placed |= 1 << v
-        worst = max(
-            worst, sum(1 for u in iter_bits(placed) if adj[u] & comp & ~placed)
-        )
-    return worst
+# Layout scoring.  A layout's boundary is the set of placed vertices that
+# still have an unplaced neighbour; its width is the largest boundary any
+# prefix has.  The boundary is kept as a bitmask and updated per placed
+# vertex rather than recounted.  nb holds each vertex's neighbours inside
+# the component being laid out, rest the vertices not placed yet.
+
+
+def _still_open(nb: list[int], boundary: int, rest: int) -> int:
+    # Members of boundary that still have a neighbour in rest.
+    m = boundary
+    while m:
+        low = m & -m
+        m ^= low
+        if not nb[low.bit_length() - 1] & rest:
+            boundary ^= low
+    return boundary
+
+
+def _moves(
+    nb: list[int], boundary: int, rest: int, limit: int
+) -> list[tuple[int, int, int]]:
+    # (size, v, boundary) after placing v next, for every v in rest
+    # whose placement keeps the boundary within limit, ascending by v.
+    # Placing v adds v if it keeps an unplaced neighbour and drops the
+    # boundary vertices whose one unplaced neighbour was v.
+    sole = 0
+    m = boundary
+    while m:
+        low = m & -m
+        m ^= low
+        left = nb[low.bit_length() - 1] & rest
+        if not left & (left - 1):
+            sole |= low
+    moves = []
+    m = rest
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        nbv = nb[v]
+        grown = boundary & ~(nbv & sole)
+        if nbv & (rest ^ low):
+            grown |= low
+        size = grown.bit_count()
+        if size <= limit:
+            moves.append((size, v, grown))
+    return moves
 
 
 def _greedy_layout(adj: list[int], comp: int) -> tuple[int, list[int]]:
     # Pathwidth upper bound: greedy sweep from every start vertex,
     # always placing next whatever keeps the boundary smallest.
+    nb = [a & comp for a in adj]
     best_order = sorted(iter_bits(comp))
-    best_width = _layout_width(adj, comp, best_order)
+    best_width = 0
+    boundary = 0
+    rest = comp
+    for v in best_order:
+        rest ^= 1 << v
+        boundary = _still_open(nb, boundary | (1 << v), rest)
+        best_width = max(best_width, boundary.bit_count())
     for start in iter_bits(comp):
-        placed = 1 << start
         order = [start]
-        width = _layout_width(adj, comp, order)
-        while placed != comp and width < best_width:
-            def grown(u: int) -> int:
-                nxt = placed | (1 << u)
-                return sum(1 for x in iter_bits(nxt) if adj[x] & comp & ~nxt)
-
-            v = min(iter_bits(comp & ~placed), key=lambda u: (grown(u), u))
-            width = max(width, grown(v))
-            placed |= 1 << v
+        rest = comp ^ (1 << start)
+        boundary = _still_open(nb, 1 << start, rest)
+        width = boundary.bit_count()
+        while rest and width < best_width:
+            size, v, boundary = min(_moves(nb, boundary, rest, comp.bit_count()))
+            width = max(width, size)
+            rest ^= 1 << v
             order.append(v)
-        if placed == comp and width < best_width:
+        if not rest and width < best_width:
             best_width = width
             best_order = order
     return best_width, best_order
@@ -319,41 +361,41 @@ def _pw_decide(
     budget: _Budget,
     failed: set[int],
 ) -> list[int] | None:
+    nb = [a & comp for a in adj]
 
-    def boundary_size(placed: int) -> int:
-        return sum(1 for u in iter_bits(placed) if adj[u] & comp & ~placed)
-
-    def search(placed: int, order: list[int]) -> list[int] | None:
+    def search(
+        rest: int, boundary: int, fresh: int, order: list[int]
+    ) -> list[int] | None:
         budget.tick()
         # Absorb vertices with nothing left outside; they never widen
         # the boundary and any layout can be rearranged to take them now.
+        # Absorbing one never makes another absorbable (all its
+        # neighbours are placed already), and only the vertices in fresh
+        # (the last move's unplaced neighbours) can have lost their last
+        # unplaced neighbour since the parent's absorption, so one
+        # ascending pass over fresh absorbs exactly what repeated passes
+        # over every unplaced vertex would, in the same order.
         absorbed = 0
-        todo = comp & ~placed
-        changed = True
-        while changed:
-            changed = False
-            for v in iter_bits(todo):
-                if adj[v] & comp & ~(placed | (1 << v)) == 0:
-                    placed |= 1 << v
-                    absorbed += 1
-                    order.append(v)
-                    todo &= ~(1 << v)
-                    changed = True
-        if placed == comp:
+        m = fresh
+        while m:
+            low = m & -m
+            m ^= low
+            if not nb[low.bit_length() - 1] & (rest ^ low):
+                rest ^= low
+                absorbed += 1
+                order.append(low.bit_length() - 1)
+        if not rest:
             return list(order)
+        placed = comp ^ rest
         if placed in failed:
             del order[len(order) - absorbed:]
             return None
+        if absorbed:
+            boundary = _still_open(nb, boundary, rest)
 
-        moves = []
-        for v in iter_bits(comp & ~placed):
-            nxt = placed | (1 << v)
-            size = boundary_size(nxt)
-            if size <= w:
-                moves.append((size, v))
-        for _, v in sorted(moves):
+        for _, v, grown in sorted(_moves(nb, boundary, rest, w)):
             order.append(v)
-            result = search(placed | (1 << v), order)
+            result = search(rest ^ (1 << v), grown, nb[v] & rest, order)
             if result is not None:
                 return result
             order.pop()
@@ -361,7 +403,7 @@ def _pw_decide(
         del order[len(order) - absorbed:]
         return None
 
-    return search(0, [])
+    return search(comp, 0, comp, [])
 
 
 def pathwidth_exact(

@@ -146,6 +146,26 @@ class TestSolutionDocuments:
         with pytest.raises(ValueError):
             solution_paths(inst, doc, index=7)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("solutions"),
+        lambda doc: doc.update(solutions=5),
+        lambda doc: doc.update(solutions=[5]),
+        lambda doc: doc.update(solutions=[[[0, "a"]]]),
+        lambda doc: doc.update(solutions=[[[99, 0]]]),
+    ])
+    def test_malformed_solutions(self, edit, tmp_path, capsys):
+        inst, out = self.fixture_pair()
+        doc = parse_solution(serialize_solution(inst, out, "decide"))
+        edit(doc)
+        with pytest.raises(ValueError):
+            solution_paths(inst, doc)
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(serialize_instance(inst))
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(json.dumps(doc))
+        assert main(["render", str(inst_path), str(sol_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_digest_binding(self):
         inst, out = self.fixture_pair()
         doc = parse_solution(serialize_solution(inst, out, "enumerate"))
@@ -290,6 +310,14 @@ class TestCli:
         path = tmp_path / "plain.json"
         path.write_text(serialize_instance(inst))
         assert main(["verify", str(path)]) == EXIT_USAGE
+
+    def test_verify_requires_layout(self, tmp_path, capsys):
+        inst = build_instance(1)
+        bare = Instance.make(inst.graph, inst.pairs, None, {"k": 1})
+        path = tmp_path / "bare.json"
+        path.write_text(serialize_instance(bare))
+        assert main(["verify", str(path)]) == EXIT_USAGE
+        assert "layout" in capsys.readouterr().err
 
     def test_width_on_edge_list(self, tmp_path, capsys):
         graph, _ = make_grid(3, 3)

@@ -241,6 +241,9 @@ class TestLongPaths:
             assert out.status == STATUS_SOLVABLE
             assert [s.paths for s in out.solutions] == [(tuple(range(n)),)]
             assert out.nodes_explored == n - 1
+            ref = brute_force_oracle(Instance.make(g, [(0, n - 1)]), spanning)
+            assert ref.solutions == out.solutions
+            assert ref.nodes_explored == n - 1
 
 
 class TestInstanceValidation:
