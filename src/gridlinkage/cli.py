@@ -143,12 +143,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     instance = parse_instance(Path(args.instance).read_text())
-    meta = instance.meta_map
-    if "k" not in meta:
+    k = instance.construction_k()
+    if k is None:
         raise ValueError("instance has no construction parameter k to verify against")
     if instance.layout is None:
         raise ValueError("instance has no grid layout to count crossings against")
-    k = int(meta["k"])
     checks: list[tuple[str, str, str]] = []
 
     outcome = solve(
@@ -228,9 +227,8 @@ def _cmd_width(args: argparse.Namespace) -> int:
     if text.lstrip().startswith("{"):
         instance = parse_instance(text)
         graph = instance.graph
-        meta = instance.meta_map
-        if "k" in meta:
-            k_meta = int(meta["k"])
+        k_meta = instance.construction_k()
+        if k_meta is not None:
             bound = 2 ** k_meta + 1
     else:
         graph = read_edge_list(text)

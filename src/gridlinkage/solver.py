@@ -11,9 +11,16 @@ search honest in tests.
 The prunes work on the free set: the vertices that are neither blocked
 nor terminals nor on a path yet.  Two vertices can still be joined iff
 they are adjacent or one connected component of the free set touches
-both of their neighborhoods.  Each search node labels those components
-at most once, flooding a component only when a prune asks about it,
-and answers every reachability question from the labels.
+both of their neighborhoods.  A search node answers every reachability
+question from component labels.  It inherits them from its parent:
+a child's free set is the parent's less the vertex v the path moved to
+(or the same set, when a pair closes), so only the component C holding
+v changes, to C - v.  C - v is known to be connected when v has one
+neighbor in it, or when v's neighbors in it are linked through their
+own neighborhoods; otherwise a flood from those neighbors stops once it
+holds them all, or runs dry and so finds a piece that split off.  A
+component no label covers yet is flooded when a prune first asks about
+it.
 
 Budgets bound the search; an exhausted budget surfaces as status
 "aborted" and is never coerced into an answer.
@@ -25,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .bitsets import adjacency_masks, components, iter_bits
+from .bitsets import adjacency_masks, components, split_components
 from .graphs import Graph, GridLayout, ROLE_BORDER, ROLE_EXTERIOR, validate_path
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -69,6 +76,19 @@ class Instance:
     @property
     def meta_map(self) -> dict[str, object]:
         return dict(self.meta)
+
+    def construction_k(self) -> int | None:
+        """The construction parameter meta["k"], or None when there is none.
+
+        Raises ValueError unless it is a non-negative int (a bool is not).
+        """
+        meta = self.meta_map
+        if "k" not in meta:
+            return None
+        k = meta["k"]
+        if type(k) is not int or k < 0:
+            raise ValueError(f"meta k must be a non-negative integer, got {k!r}")
+        return k
 
     @classmethod
     def make(
@@ -184,8 +204,11 @@ def solve(
     linked, since no path can enter it, or when a free vertex keeps
     fewer than two possible path neighbors.  A node with one pair left
     and no spanning test floods from the head only until it touches t.
-    The search keeps its own stack, so long paths do not hit the
-    recursion limit.
+    Every other node starts from the component labels of its parent and
+    updates only the component the path entered; a split is found by a
+    local test around the entered vertex, or else by a flood from its
+    neighbors that runs dry before it reaches them all.  The search
+    keeps its own stack, so long paths do not hit the recursion limit.
     """
     if mode == "decide":
         cap = 1
@@ -245,20 +268,28 @@ def solve(
     nodes = 0
     found: list[tuple[tuple[int, ...], ...]] = []
     done_paths: list[tuple[int, ...]] = []
+    no_labels: tuple[list[int], int] = ([], 0)
 
-    def feasible(idx: int, head: int, free: int) -> bool:
+    def feasible(
+        idx: int, head: int, free: int, labels: tuple[list[int], int]
+    ) -> tuple[list[int], int] | None:
+        # labels = (comps, labelled): components of free already
+        # labelled and their union, inherited from the parent node.
+        # Returns None to prune, else the labels the children inherit;
+        # the list passed in is never changed, since siblings share it.
         t_cur = search_pairs[idx][1]
         if idx == last and not require_spanning:
             # One question only: flood out of the head's neighborhood and
-            # stop as soon as the flood touches t_cur's.
+            # stop as soon as the flood touches t_cur's.  No labels are
+            # kept; the children are last-pair nodes too.
             if adj[head] >> t_cur & 1:
-                return True
+                return no_labels
             target = adj[t_cur] & free
             frontier = adj[head] & free
             rest = free ^ frontier
             while frontier:
                 if frontier & target:
-                    return True
+                    return no_labels
                 grow = 0
                 while frontier:
                     low = frontier & -frontier
@@ -266,45 +297,54 @@ def solve(
                     frontier ^= low
                 frontier = grow & rest
                 rest ^= frontier
-            return False
+            return None
         # Every pair must be joinable: adjacent ends, or one component of
         # free touching both ends' neighborhoods.  Components are flooded
         # on first touch and shared by all pairs and the spanning check.
-        comps: list[int] = []
-        labelled = 0
+        comps, labelled = labels
         for a, b in ((head, t_cur),) + search_pairs[idx + 1:]:
             if adj[a] >> b & 1:
                 continue
             near_a = adj[a] & free
             fresh = near_a & ~labelled
             if fresh:
-                for comp in components(adj, free & ~labelled, fresh):
-                    comps.append(comp)
+                new = components(adj, free & ~labelled, fresh)
+                comps = comps + new
+                for comp in new:
                     labelled |= comp
             near_b = adj[b] & free
             for comp in comps:
                 if comp & near_a and comp & near_b:
                     break
             else:
-                return False
+                return None
         if require_spanning and free:
             # Each free vertex must lie in a component some terminal (or
             # the head) can enter, and must keep two possible path
-            # neighbors.
-            fresh = (adj[head] | adj[t_cur] | pending_nbrs[idx + 1]) & free & ~labelled
+            # neighbors.  Inherited labels may hold a component next to
+            # no seed, so every labelled component is tested.
+            seeds = (adj[head] | adj[t_cur] | pending_nbrs[idx + 1]) & free
+            fresh = seeds & ~labelled
             if fresh:
-                for comp in components(adj, free & ~labelled, fresh):
+                new = components(adj, free & ~labelled, fresh)
+                comps = comps + new
+                for comp in new:
                     labelled |= comp
             if labelled != free:
-                return False
+                return None
+            for comp in comps:
+                if not comp & seeds:
+                    return None
             attach_base = free | (1 << head) | pending_terms[idx + 1] | (1 << t_cur)
             m = free
             while m:
                 low = m & -m
                 if (adj[low.bit_length() - 1] & attach_base).bit_count() < 2:
-                    return False
+                    return None
                 m ^= low
-        return True
+        if labelled == labels[1]:
+            return labels  # nothing flooded: hand the same labels on
+        return comps, labelled
 
     def complete(free: int) -> None:
         if require_spanning and free:
@@ -321,42 +361,50 @@ def solve(
     min_degree = order == ORDER_MIN_DEGREE
     # Depth-first search with an explicit stack, so path length is not
     # bounded by the interpreter's recursion limit.  A frame is
-    # [pair index, free set, t of the pair, candidates still to try]:
-    # a bitmask taken lowest bit first, or for min-degree a list sorted
-    # in reverse and popped from the end.  route holds the vertex lists
-    # of the pairs being routed, the current pair last.
+    # [pair index, free set, t of the pair, candidates still to try,
+    # labels from feasible()]: candidates are a bitmask taken lowest bit
+    # first, or for min-degree a list of (degree, v) sorted in reverse
+    # and popped from the end.  route holds the vertex lists of the
+    # pairs being routed, the current pair last.
     stack: list[list] = []
     route: list[list[int]] = []
     aborted = False
     try:
         if search_pairs:
             idx, head, free = 0, search_pairs[0][0], free0
+            labels = no_labels
             route.append([head])
             while True:
-                # Enter the node (idx, head, free): count it, prune it or
-                # push its frame.  A pruned node gets a frame without
-                # candidates, which the loop below pops and undoes.
+                # Enter the node (idx, head, free) with the labels it
+                # inherits: count it, prune it or push its frame.  A
+                # pruned node gets a frame without candidates, which the
+                # loop below pops and undoes.
                 nodes += 1
                 if nodes > max_nodes:
                     raise _BudgetExhausted
                 if nodes % 4096 == 0 and time.monotonic() > deadline:
                     raise _BudgetExhausted
                 t = search_pairs[idx][1]
-                if pruning and not feasible(idx, head, free):
-                    candidates = 0
+                if pruning:
+                    labels = feasible(idx, head, free, labels)
+                if labels is None:
+                    stack.append([idx, free, t, 0, None])
                 else:
                     candidates = adj[head] & (free | (1 << t))
                     if min_degree and candidates:
-                        candidates = sorted(
-                            iter_bits(candidates),
-                            key=lambda v: ((adj[v] & free).bit_count(), v),
-                            reverse=True,
-                        )
-                stack.append([idx, free, t, candidates])
+                        ranked = []
+                        while candidates:
+                            low = candidates & -candidates
+                            v = low.bit_length() - 1
+                            ranked.append(((adj[v] & free).bit_count(), v))
+                            candidates ^= low
+                        ranked.sort(reverse=True)
+                        candidates = ranked
+                    stack.append([idx, free, t, candidates, labels])
                 # Find the next node to enter.
                 while stack:
                     frame = stack[-1]
-                    idx, free, t, candidates = frame
+                    idx, free, t, candidates, labels = frame
                     if not candidates:
                         stack.pop()
                         path = route[-1]
@@ -368,15 +416,38 @@ def solve(
                                 done_paths.pop()
                         continue
                     if min_degree:
-                        v = candidates.pop()
+                        v = candidates.pop()[1]
                     else:
                         low = candidates & -candidates
                         frame[3] = candidates ^ low
                         v = low.bit_length() - 1
                     if v != t:
                         route[-1].append(v)
-                        head, free = v, free & ~(1 << v)
+                        bit = 1 << v
+                        head, free = v, free ^ bit
+                        comps, labelled = labels
+                        if labelled & bit:
+                            # The child's free set lacks v: only the
+                            # component C holding v changes, to C - v,
+                            # which can fall apart only where v has two
+                            # or more neighbors in it.
+                            i = 0
+                            while not comps[i] & bit:
+                                i += 1
+                            comp = comps[i] ^ bit
+                            ends = adj[v] & comp
+                            if ends & (ends - 1):
+                                comps = comps[:i] + split_components(adj, comp, ends) + comps[i + 1:]
+                            else:
+                                comps = comps.copy()
+                                if ends:
+                                    comps[i] = comp
+                                else:
+                                    del comps[i]
+                            labels = comps, labelled ^ bit
                         break
+                    # Closing a pair leaves free, and so the labels, as
+                    # they are.
                     done_paths.append(tuple(route[-1]) + (t,))
                     if idx == last:
                         complete(free)

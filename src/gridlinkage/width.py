@@ -474,10 +474,9 @@ def verify_width_lower_bound(
     report also carries the solution's path count k + 1, the pair of
     numbers the construction is designed to exhibit together.
     """
-    meta = instance.meta_map
-    if "k" not in meta:
+    k = instance.construction_k()
+    if k is None:
         raise ValueError("instance carries no construction parameter k")
-    k = int(meta["k"])
     bound = 2 ** k + 1
     tw = treewidth_exact(instance.graph, max_nodes, max_seconds)
     pw = pathwidth_exact(instance.graph, max_nodes, max_seconds)

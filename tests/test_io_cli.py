@@ -319,6 +319,17 @@ class TestCli:
         assert main(["verify", str(path)]) == EXIT_USAGE
         assert "layout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "width"])
+    @pytest.mark.parametrize("k", [None, [1], True, "1", -1])
+    def test_malformed_meta_k(self, command, k, tmp_path, capsys):
+        doc = json.loads(serialize_instance(build_instance(1, s0_placement=S0_BOTTOM_LEFT)))
+        doc["meta"]["k"] = k
+        path = tmp_path / "bad_k.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "meta k" in err
+
     def test_width_on_edge_list(self, tmp_path, capsys):
         graph, _ = make_grid(3, 3)
         path = tmp_path / "grid.col"

@@ -4,6 +4,7 @@ import pytest
 
 from gridlinkage import (
     Graph,
+    Instance,
     KIND_PATHWIDTH,
     KIND_TREEWIDTH,
     build_instance,
@@ -170,6 +171,15 @@ class TestBoundReport:
         inst = Instance.make(graph, [(0, 8)], layout)
         with pytest.raises(ValueError):
             verify_width_lower_bound(inst)
+
+    @pytest.mark.parametrize("k", [None, [1], True, "1", -1])
+    def test_rejects_malformed_k(self, k):
+        inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
+        bad = Instance.make(inst.graph, inst.pairs, inst.layout, {**inst.meta_map, "k": k})
+        with pytest.raises(ValueError, match="meta k"):
+            bad.construction_k()
+        with pytest.raises(ValueError, match="meta k"):
+            verify_width_lower_bound(bad)
 
     def test_indeterminate_under_budget(self):
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
