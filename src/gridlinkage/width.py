@@ -6,10 +6,14 @@ nobody has more than w neighbours at the moment of removal, where two
 survivors count as neighbours whenever the original graph joins them
 through already-removed vertices.  That closure view means the residual
 graph depends only on the *set* removed, never the order, so failed
-subsets memoize soundly and connected components split off.  Pathwidth
-runs the same deepening over vertex layouts scored by boundary size
-(vertex separation).  Certificates are plain vertex orders; independent
-re-checkers recompute their width from scratch.
+subsets memoize soundly.  The search does not recompute the closure: it
+carries every survivor's residual neighbour mask down the search and
+updates it per eliminated vertex, whose neighbours become a clique.
+That update keeps a connected graph connected, so components split off
+once, before the search.  Pathwidth runs the same deepening over vertex
+layouts scored by boundary size (vertex separation).  Certificates are
+plain vertex orders; independent re-checkers recompute their width from
+scratch.
 
 Budgets cap search nodes and wall time.  A blown budget degrades the
 result to a greedy upper bound flagged exact=False, it never guesses.
@@ -144,26 +148,52 @@ def _max_clique(adj: list[int], comp: int) -> int:
     return best
 
 
+def _eliminate(nbrs: list[int], v: int) -> list[int]:
+    # Residual neighbour masks once v is eliminated: v's neighbours
+    # become a clique and lose v, every other mask stays as it is.  This
+    # is the closure view, since the residual graph depends only on the
+    # set removed.  Returns a new list; v's own entry goes stale and is
+    # never read again.
+    out = nbrs[:]
+    nv = nbrs[v]
+    keep = ~(1 << v)
+    m = nv
+    while m:
+        low = m & -m
+        m ^= low
+        u = low.bit_length() - 1
+        out[u] = ((out[u] | nv) ^ low) & keep
+    return out
+
+
+def _fill_in(nbrs: list[int], v: int) -> int:
+    # Edges missing amongst v's residual neighbours.
+    nv = nbrs[v]
+    missing = 0
+    m = nv
+    while m:
+        low = m & -m
+        m ^= low
+        missing += (nv & ~nbrs[low.bit_length() - 1]).bit_count() - 1
+    return missing // 2
+
+
 def _min_fill_order(adj: list[int], comp: int) -> tuple[int, list[int]]:
     # Greedy upper bound: repeatedly eliminate the vertex whose residual
-    # neighbours miss the fewest edges amongst themselves.
+    # neighbours miss the fewest edges amongst themselves.  The residual
+    # masks start as adj (comp is a whole component) and are carried
+    # through _eliminate after every choice.
+    nbrs = adj
     remaining = comp
     order: list[int] = []
     width = 0
     while remaining:
-        nbrs = {v: _closure_neighbors(adj, remaining, v) for v in iter_bits(remaining)}
-
-        def fill_needed(v: int) -> int:
-            missing = 0
-            for u in iter_bits(nbrs[v]):
-                missing += (nbrs[v] & ~(1 << u) & ~nbrs[u]).bit_count()
-            return missing // 2
-
         best = min(
             iter_bits(remaining),
-            key=lambda v: (fill_needed(v), nbrs[v].bit_count(), v),
+            key=lambda v: (_fill_in(nbrs, v), nbrs[v].bit_count(), v),
         )
         width = max(width, nbrs[best].bit_count())
+        nbrs = _eliminate(nbrs, best)
         remaining &= ~(1 << best)
         order.append(best)
     return width, order
@@ -218,9 +248,13 @@ def _moves(
     return moves
 
 
-def _greedy_layout(adj: list[int], comp: int) -> tuple[int, list[int]]:
+def _greedy_layout(
+    adj: list[int], comp: int, deadline: float
+) -> tuple[int, list[int]]:
     # Pathwidth upper bound: greedy sweep from every start vertex,
-    # always placing next whatever keeps the boundary smallest.
+    # always placing next whatever keeps the boundary smallest.  Past
+    # the deadline no further start is tried and the best layout so far
+    # stands; the search that follows then stops at its first node.
     nb = [a & comp for a in adj]
     best_order = sorted(iter_bits(comp))
     best_width = 0
@@ -231,6 +265,8 @@ def _greedy_layout(adj: list[int], comp: int) -> tuple[int, list[int]]:
         boundary = _still_open(nb, boundary | (1 << v), rest)
         best_width = max(best_width, boundary.bit_count())
     for start in iter_bits(comp):
+        if time.monotonic() > deadline:
+            break
         order = [start]
         rest = comp ^ (1 << start)
         boundary = _still_open(nb, 1 << start, rest)
@@ -253,63 +289,70 @@ class _Budget:
         self.nodes = 0
 
     def tick(self) -> None:
+        # The clock is read at the first node and every 2048th after it,
+        # so a search that starts past the deadline stops at once.
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise _WidthBudget
-        if self.nodes % 2048 == 0 and time.monotonic() > self.deadline:
+        if self.nodes % 2048 == 1 and time.monotonic() > self.deadline:
             raise _WidthBudget
 
 
 def _tw_decide(
-    adj: list[int],
+    nbrs: list[int],
+    gone: int,
     comp: int,
     w: int,
     budget: _Budget,
     failed: set[int],
 ) -> list[int] | None:
+    # nbrs holds the parent state's residual neighbour masks and gone the
+    # vertex the parent eliminated (-1 at the root, where nbrs already
+    # fits comp).  Most nodes are refuted by the memo, so a node makes
+    # its own masks only once it is searched.  comp is connected, and
+    # elimination keeps it so: no state splits.
     budget.tick()
     if comp.bit_count() <= w + 1:
         return sorted(iter_bits(comp))
     if comp in failed:
         return None
-
-    nbrs = {v: _closure_neighbors(adj, comp, v) for v in iter_bits(comp)}
-    pieces = components([nbrs.get(v, 0) for v in range(len(adj))], comp)
-    if len(pieces) > 1:
-        order: list[int] = []
-        for piece in pieces:
-            sub = _tw_decide(adj, piece, w, budget, failed)
-            if sub is None:
-                failed.add(comp)
-                return None
-            order.extend(sub)
-        return order
+    if gone >= 0:
+        nbrs = _eliminate(nbrs, gone)
 
     # A vertex whose residual neighbours already form a clique pins the
     # state down: eliminate it first without branching, or refute the
     # whole state when that clique is too big for the target width.
     candidates = []
-    for v in iter_bits(comp):
-        deg = nbrs[v].bit_count()
-        simplicial = all(
-            nbrs[v] & ~(1 << u) & ~nbrs[u] == 0 for u in iter_bits(nbrs[v])
-        )
-        if simplicial and deg > w:
-            failed.add(comp)
-            return None
-        if simplicial:
-            rest = _tw_decide(adj, comp & ~(1 << v), w, budget, failed)
-            if rest is None:
+    m = comp
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        nv = nbrs[v]
+        # v is simplicial when each neighbour u sees all the others.
+        unchecked = nv
+        while unchecked:
+            lu = unchecked & -unchecked
+            if nv & ~nbrs[lu.bit_length() - 1] != lu:
+                break
+            unchecked ^= lu
+        deg = nv.bit_count()
+        if not unchecked:
+            if deg > w:
                 failed.add(comp)
                 return None
-            return [v] + rest
+            sub = _tw_decide(nbrs, v, comp ^ low, w, budget, failed)
+            if sub is None:
+                failed.add(comp)
+                return None
+            return [v] + sub
         if deg <= w:
             candidates.append((deg, v))
 
     for _, v in sorted(candidates):
-        rest = _tw_decide(adj, comp & ~(1 << v), w, budget, failed)
-        if rest is not None:
-            return [v] + rest
+        sub = _tw_decide(nbrs, v, comp ^ (1 << v), w, budget, failed)
+        if sub is not None:
+            return [v] + sub
     failed.add(comp)
     return None
 
@@ -342,7 +385,7 @@ def treewidth_exact(
             ub, _ = per_comp[i]
             lb = max(_degeneracy(adj, comp), _max_clique(adj, comp) - 1)
             for w in range(lb, ub):
-                order = _tw_decide(adj, comp, w, budget, set())
+                order = _tw_decide(adj, -1, comp, w, budget, set())
                 if order is not None:
                     per_comp[i] = (w, order)
                     break
@@ -426,7 +469,7 @@ def pathwidth_exact(
 
     comps = components(adj, (1 << n) - 1)
     per_comp: list[tuple[int, list[int]]] = [
-        _greedy_layout(adj, comp) for comp in comps
+        _greedy_layout(adj, comp, budget.deadline) for comp in comps
     ]
     exact = True
     try:

@@ -1,5 +1,8 @@
 """Exact treewidth and pathwidth with verifiable certificates."""
 
+import random
+import time
+
 import pytest
 
 from gridlinkage import (
@@ -15,7 +18,9 @@ from gridlinkage import (
     width_of_elimination_order,
     width_of_layout,
 )
+from gridlinkage.bitsets import adjacency_masks, components, iter_bits
 from gridlinkage.construction import S0_BOTTOM_LEFT
+from gridlinkage.width import _closure_neighbors, _eliminate
 from oracles import brute_pathwidth, brute_treewidth, connected_graphs
 
 
@@ -151,6 +156,49 @@ class TestBudgets:
         assert not result.exact
         assert result.value >= 5
         assert width_of_layout(graph, result.certificate) == result.value
+
+
+    def test_pathwidth_greedy_bound_keeps_the_deadline(self):
+        # 289 vertices: sweeping the greedy layout from every start
+        # vertex alone takes several seconds, longer than the budget.
+        graph = build_instance(4).graph
+        start = time.monotonic()
+        result = pathwidth_exact(graph, max_seconds=0.5)
+        assert time.monotonic() - start < 4.0
+        assert not result.exact
+        assert width_of_layout(graph, result.certificate) == result.value
+
+
+class TestIncrementalElimination:
+    """The masks the treewidth search carries equal a fresh closure walk."""
+
+    def test_eliminate_matches_closure(self):
+        rng = random.Random(5)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            p = rng.choice((0.1, 0.25, 0.5, 0.8))
+            g = Graph.from_edges(
+                n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+            )
+            adj = adjacency_masks(g)
+            remaining = (1 << n) - 1
+            connected = len(components(adj, remaining)) == 1
+            seen[connected] += 1
+            order = list(range(n))
+            rng.shuffle(order)
+            nbrs = adj
+            for v in order:
+                before = list(nbrs)
+                nbrs, parent = _eliminate(nbrs, v), nbrs
+                assert parent == before
+                remaining &= ~(1 << v)
+                for u in iter_bits(remaining):
+                    assert nbrs[u] == _closure_neighbors(adj, remaining, u)
+                # eliminating a vertex never disconnects the survivors
+                if connected and remaining:
+                    assert components(nbrs, remaining) == [remaining]
+        assert seen[True] > 50 and seen[False] > 50
 
 
 class TestBoundReport:

@@ -23,6 +23,11 @@ GRAPHS = {
     "grid3": lambda: make_grid(3, 3)[0],
     "grid4": lambda: make_grid(4, 4)[0],
     "tree31": lambda: Graph.from_edges(31, [((i - 1) // 2, i) for i in range(1, 31)]),
+    "sparse16": lambda: Graph.from_edges(16, [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 10), (1, 9), (1, 14), (2, 5),
+        (2, 12), (3, 4), (3, 12), (4, 7), (4, 15), (5, 6), (6, 8), (6, 9),
+        (6, 11), (7, 10), (7, 11), (9, 10), (9, 15), (10, 15), (11, 13),
+        (12, 14), (12, 15)]),
 }
 
 # (search, graph, value, nodes_explored, certificate)
@@ -43,6 +48,11 @@ PINNED = [
     (treewidth_exact, "k1", 3, 5, (0, 6, 3, 1, 4, 2, 5, 7, 8)),
     (treewidth_exact, "grid4", 4, 6082,
      (0, 3, 12, 15, 1, 4, 7, 13, 2, 5, 6, 8, 9, 10, 11, 14)),
+    # Treewidth 4 under a min-fill bound of 5: the search succeeds, so
+    # the count and the order also fix the (degree, vertex) candidate
+    # order, which the two rows above do not.
+    (treewidth_exact, "sparse16", 4, 756,
+     (8, 13, 5, 11, 14, 1, 2, 3, 4, 6, 10, 0, 7, 9, 12, 15)),
 ]
 
 
