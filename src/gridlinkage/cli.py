@@ -17,8 +17,8 @@ from .construction import (
     build_instance,
     calibrated_rule,
     candidate_arc_rules,
-    expected_crossing_profile,
     rule_by_identifier,
+    verify_instance,
 )
 from .graphs import crossing_report
 from .io import (
@@ -44,7 +44,6 @@ from .solver import (
     STATUS_SOLVABLE,
     STATUS_UNSOLVABLE,
     brute_force_oracle,
-    irrelevant_vertices,
     solve,
     spans_all_vertices,
 )
@@ -53,6 +52,7 @@ from .width import (
     DEFAULT_WIDTH_TIME_BUDGET,
     pathwidth_exact,
     treewidth_exact,
+    widths_within_budget,
 )
 
 EXIT_OK = 0
@@ -141,78 +141,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return _status_exit(outcome.status)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    instance = parse_instance(Path(args.instance).read_text())
-    k = instance.construction_k()
-    if k is None:
-        raise ValueError("instance has no construction parameter k to verify against")
-    if instance.layout is None:
-        raise ValueError("instance has no grid layout to count crossings against")
-    checks: list[tuple[str, str, str]] = []
-
-    outcome = solve(
-        instance,
-        mode="count_up_to",
-        cap=2,
-        max_nodes=args.budget_nodes,
-        max_seconds=args.budget_seconds,
-    )
-    if outcome.status == STATUS_ABORTED:
-        checks.append(("uniqueness", "INDETERMINATE", "search budget exhausted"))
-        for name in ("spanning", "crossing profile", "crossing total"):
-            checks.append((name, "INDETERMINATE", "no verified solution"))
-    else:
-        count = len(outcome.solutions)
-        checks.append(
-            ("uniqueness", "PASS" if count == 1 else "FAIL",
-             f"solutions found: {count} (cap 2)")
-        )
-        if count >= 1:
-            link = outcome.solutions[0]
-            spanning = spans_all_vertices(link)
-            checks.append(
-                ("spanning", "PASS" if spanning else "FAIL",
-                 f"covers {len(link.vertices())}/{instance.graph.vertex_count} vertices")
-            )
-            report = crossing_report(link.paths, instance.layout)
-            want_profile = expected_crossing_profile(k)
-            got_profile = report.per_path
-            checks.append(
-                ("crossing profile",
-                 "PASS" if got_profile == want_profile else "FAIL",
-                 f"got {list(got_profile)}, want {list(want_profile)}")
-            )
-            want_total = 2 ** k - 1
-            checks.append(
-                ("crossing total",
-                 "PASS" if report.total == want_total else "FAIL",
-                 f"got {report.total}, want {want_total}")
-            )
-        else:
-            checks.append(("spanning", "FAIL", "no solution"))
-            checks.append(("crossing profile", "FAIL", "no solution"))
-            checks.append(("crossing total", "FAIL", "no solution"))
-
-    irr = irrelevant_vertices(
-        instance,
-        max_nodes=args.budget_nodes,
-        max_seconds=args.budget_seconds,
-    )
-    if irr.indeterminate:
-        checks.append(
-            ("no irrelevant vertices", "INDETERMINATE",
-             f"{len(irr.indeterminate)} deletions exhausted their budget")
-        )
-    else:
-        checks.append(
-            ("no irrelevant vertices",
-             "PASS" if not irr.irrelevant else "FAIL",
-             f"irrelevant: {sorted(irr.irrelevant)}")
-        )
-
-    for name, verdict, detail in checks:
-        print(f"{verdict} {name}: {detail}")
-    verdicts = {verdict for _, verdict, _ in checks}
+def _verdict_exit(verdicts: list[str]) -> int:
     if "FAIL" in verdicts:
         return EXIT_CHECK_FAILED
     if "INDETERMINATE" in verdicts:
@@ -220,44 +149,48 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cmd_verify(args: argparse.Namespace) -> int:
+    instance = parse_instance(Path(args.instance).read_text())
+    checks = verify_instance(instance, args.budget_nodes, args.budget_seconds)
+    for name, verdict, detail in checks:
+        print(f"{verdict} {name}: {detail}")
+    return _verdict_exit([verdict for _, verdict, _ in checks])
+
+
 def _cmd_width(args: argparse.Namespace) -> int:
     text = Path(args.graph).read_text()
-    bound = None
-    k_meta = None
+    k = None
     if text.lstrip().startswith("{"):
         instance = parse_instance(text)
         graph = instance.graph
-        k_meta = instance.construction_k()
-        if k_meta is not None:
-            bound = 2 ** k_meta + 1
+        k = instance.construction_k()
     else:
         graph = read_edge_list(text)
+    bound = None if k is None else 2 ** k + 1
 
-    wanted = []
+    searches = []
     if args.tw or not (args.tw or args.pw):
-        wanted.append(("treewidth", treewidth_exact))
+        searches.append(treewidth_exact)
     if args.pw or not (args.tw or args.pw):
-        wanted.append(("pathwidth", pathwidth_exact))
+        searches.append(pathwidth_exact)
 
-    code = EXIT_OK
-    for name, compute in wanted:
-        result = compute(graph, args.budget_nodes, args.budget_seconds)
+    verdicts = []
+    for result in widths_within_budget(
+        graph, searches, args.budget_nodes, args.budget_seconds
+    ):
+        name = result.kind
         exact = "exact" if result.exact else "upper bound (budget exhausted)"
         print(f"{name}: {result.value} ({exact})")
         print(f"{name} certificate: {' '.join(str(v) for v in result.certificate)}")
-        if not result.exact:
-            code = max(code, EXIT_ABORTED)
+        verdict = "PASS" if result.exact else "INDETERMINATE"
         if bound is not None:
-            if not result.exact:
-                print(f"{name} >= {bound}: INDETERMINATE")
-            elif result.value >= bound:
-                print(f"{name} >= {bound}: PASS")
-            else:
-                print(f"{name} >= {bound}: FAIL")
-                code = EXIT_CHECK_FAILED
+            if result.exact and result.value < bound:
+                verdict = "FAIL"
+            print(f"{name} >= {bound}: {verdict}")
+        verdicts.append(verdict)
+    code = _verdict_exit(verdicts)
     if bound is not None and code == EXIT_OK:
-        print(f"width bound met with {k_meta + 1} spanning paths "
-              f"(grid side {2 ** k_meta + 1})")
+        print(f"width bound met with {k + 1} spanning paths (grid side {bound})")
     return code
 
 
@@ -386,6 +319,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse turns `--opt=--` into an empty list without calling the
+        # type.  `not >= 0` also refuses nan, which no deadline test trips.
+        for dest, value in vars(args).items():
+            if isinstance(value, list):
+                parser.error(f"argument {dest}: expected one value, got '--'")
+            if dest.startswith("budget_") and not value >= 0:
+                parser.error(f"argument {dest}: expected a non-negative "
+                             f"number, got {value}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

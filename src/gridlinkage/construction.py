@@ -8,9 +8,9 @@ times (path i crossing 2^(i-1) times, 3, 7, ... in total).
 
 The exact arc count per terminal and the corner for s_0 are not forced
 by first principles, so both are kept as enumerable candidates and
-pinned by calibrate_arc_rule(), which solves the small instances and
-keeps the unique candidate passing every behavioral check.  The result
-of that calibration is frozen in CALIBRATED_ARC_RULE_ID and
+pinned by calibrate_arc_rule(), which runs linkage_checks() on the
+small instances and keeps the unique candidate passing them all.  The
+result of that calibration is frozen in CALIBRATED_ARC_RULE_ID and
 CALIBRATED_S0_PLACEMENT; the test suite re-derives it from scratch.
 """
 
@@ -32,6 +32,7 @@ from .solver import (
     DEFAULT_TIME_BUDGET,
     Instance,
     STATUS_ABORTED,
+    irrelevant_vertices,
     solve,
     spans_all_vertices,
 )
@@ -77,10 +78,7 @@ CALIBRATED_S0_PLACEMENT = S0_BOTTOM_LEFT
 
 
 def calibrated_rule() -> ArcRule:
-    for rule in candidate_arc_rules():
-        if rule.identifier == CALIBRATED_ARC_RULE_ID:
-            return rule
-    raise AssertionError("calibrated rule missing from candidates")
+    return rule_by_identifier(CALIBRATED_ARC_RULE_ID)
 
 
 def rule_by_identifier(identifier: str) -> ArcRule:
@@ -197,6 +195,72 @@ class CalibrationError(RuntimeError):
         self.reports = reports
 
 
+def linkage_checks(
+    instance: Instance,
+    max_nodes: int = DEFAULT_NODE_BUDGET,
+    max_seconds: float = DEFAULT_TIME_BUDGET,
+) -> list[tuple[str, str, str]]:
+    """(name, verdict, detail) rows for uniqueness, spanning, crossing
+    profile and crossing total, all decided from one search.
+
+    verdict is PASS, FAIL or INDETERMINATE (the budget ran out).  Raises
+    ValueError when the instance has no meta k or no grid layout.
+    """
+    k = instance.construction_k()
+    if k is None:
+        raise ValueError("instance has no construction parameter k to verify against")
+    if instance.layout is None:
+        raise ValueError("instance has no grid layout to count crossings against")
+    outcome = solve(
+        instance, mode="count_up_to", cap=2, max_nodes=max_nodes, max_seconds=max_seconds
+    )
+    if outcome.status == STATUS_ABORTED:
+        return [("uniqueness", "INDETERMINATE", "search budget exhausted")] + [
+            (name, "INDETERMINATE", "no verified solution")
+            for name in ("spanning", "crossing profile", "crossing total")
+        ]
+    count = len(outcome.solutions)
+    checks = [("uniqueness", "PASS" if count == 1 else "FAIL",
+               f"solutions found: {count} (cap 2)")]
+    if count == 0:
+        return checks + [
+            (name, "FAIL", "no solution")
+            for name in ("spanning", "crossing profile", "crossing total")
+        ]
+    link = outcome.solutions[0]
+    # Instance rejects inner terminals under a layout, so every path's
+    # crossing count is defined.
+    report = crossing_report(link.paths, instance.layout)
+    want_profile = expected_crossing_profile(k)
+    want_total = 2**k - 1
+    return checks + [
+        ("spanning", "PASS" if spans_all_vertices(link) else "FAIL",
+         f"covers {len(link.vertices())}/{instance.graph.vertex_count} vertices"),
+        ("crossing profile", "PASS" if report.per_path == want_profile else "FAIL",
+         f"got {list(report.per_path)}, want {list(want_profile)}"),
+        ("crossing total", "PASS" if report.total == want_total else "FAIL",
+         f"got {report.total}, want {want_total}"),
+    ]
+
+
+def verify_instance(
+    instance: Instance,
+    max_nodes: int = DEFAULT_NODE_BUDGET,
+    max_seconds: float = DEFAULT_TIME_BUDGET,
+) -> list[tuple[str, str, str]]:
+    """linkage_checks() rows plus a "no irrelevant vertices" row from
+    irrelevant_vertices() under the same budget: the full battery."""
+    checks = linkage_checks(instance, max_nodes, max_seconds)
+    irr = irrelevant_vertices(instance, max_nodes=max_nodes, max_seconds=max_seconds)
+    if irr.indeterminate:
+        checks.append(("no irrelevant vertices", "INDETERMINATE",
+                       f"{len(irr.indeterminate)} deletions exhausted their budget"))
+    else:
+        checks.append(("no irrelevant vertices", "FAIL" if irr.irrelevant else "PASS",
+                       f"irrelevant: {sorted(irr.irrelevant)}"))
+    return checks
+
+
 def _check_candidate(
     rule: ArcRule,
     s0_placement: str,
@@ -208,36 +272,11 @@ def _check_candidate(
         instance = build_instance(k, rule, s0_placement)
     except ValueError as exc:
         return [f"k={k}: build failed: {exc}"]
-    outcome = solve(
-        instance, mode="count_up_to", cap=2, max_nodes=max_nodes, max_seconds=max_seconds
-    )
-    if outcome.status == STATUS_ABORTED:
-        return [f"k={k}: search budget exhausted before certification"]
-    problems: list[str] = []
-    count = len(outcome.solutions)
-    if count != 1:
-        problems.append(f"k={k}: expected exactly 1 solution, found {count}"
-                        + (" (capped)" if count >= 2 else ""))
-    if count >= 1:
-        solution = outcome.solutions[0]
-        if not spans_all_vertices(solution):
-            missing = instance.graph.vertex_count - len(solution.vertices())
-            problems.append(f"k={k}: solution misses {missing} vertices")
-        report = crossing_report(solution.paths, instance.layout)
-        if report.undefined_paths:
-            problems.append(f"k={k}: crossing count undefined for paths "
-                            f"{sorted(report.undefined_paths)}")
-        else:
-            want = expected_crossing_profile(k)
-            if report.per_path != want:
-                problems.append(
-                    f"k={k}: crossing profile {report.per_path} differs from {want}"
-                )
-            if report.total != 2**k - 1:
-                problems.append(
-                    f"k={k}: total crossings {report.total} differ from {2 ** k - 1}"
-                )
-    return problems
+    return [
+        f"k={k}: {name}: {detail}"
+        for name, verdict, detail in linkage_checks(instance, max_nodes, max_seconds)
+        if verdict != "PASS"
+    ]
 
 
 def calibrate_arc_rule(

@@ -10,20 +10,21 @@ subsets memoize soundly.  The search does not recompute the closure: it
 carries every survivor's residual neighbour mask down the search and
 updates it per eliminated vertex, whose neighbours become a clique.
 That update keeps a connected graph connected, so components split off
-once, before the search.  Pathwidth runs the same deepening over vertex
-layouts scored by boundary size (vertex separation).  Certificates are
-plain vertex orders; independent re-checkers recompute their width from
-scratch.
+once, before the search.  Pathwidth runs the same deepening, through
+the same _deepen(), over vertex layouts scored by boundary size (vertex
+separation).  Certificates are plain vertex orders; independent
+re-checkers recompute their width from scratch.
 
 Budgets cap search nodes and wall time.  A blown budget degrades the
 result to a greedy upper bound flagged exact=False, it never guesses.
+Several searches share one budget through widths_within_budget().
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .bitsets import adjacency_masks, components, iter_bits
 from .graphs import Graph
@@ -300,11 +301,11 @@ class _Budget:
 
 def _tw_decide(
     nbrs: list[int],
-    gone: int,
     comp: int,
     w: int,
     budget: _Budget,
     failed: set[int],
+    gone: int = -1,
 ) -> list[int] | None:
     # nbrs holds the parent state's residual neighbour masks and gone the
     # vertex the parent eliminated (-1 at the root, where nbrs already
@@ -341,7 +342,7 @@ def _tw_decide(
             if deg > w:
                 failed.add(comp)
                 return None
-            sub = _tw_decide(nbrs, v, comp ^ low, w, budget, failed)
+            sub = _tw_decide(nbrs, comp ^ low, w, budget, failed, v)
             if sub is None:
                 failed.add(comp)
                 return None
@@ -350,11 +351,48 @@ def _tw_decide(
             candidates.append((deg, v))
 
     for _, v in sorted(candidates):
-        sub = _tw_decide(nbrs, v, comp ^ (1 << v), w, budget, failed)
+        sub = _tw_decide(nbrs, comp ^ (1 << v), w, budget, failed, v)
         if sub is not None:
             return [v] + sub
     failed.add(comp)
     return None
+
+
+def _deepen(
+    kind: str,
+    graph: Graph,
+    max_nodes: int,
+    max_seconds: float,
+    upper: Callable[[list[int], int, float], tuple[int, list[int]]],
+    decide: Callable[[list[int], int, int, _Budget, set[int]], list[int] | None],
+) -> WidthResult:
+    # Per component: upper() gives a greedy (width, order), then decide()
+    # tries each width from the degeneracy/clique lower bound up; the
+    # first order found is optimal.  A blown budget keeps the best so far.
+    n = graph.vertex_count
+    if n == 0:
+        raise ValueError("width of the empty graph is not defined here")
+    adj = adjacency_masks(graph)
+    budget = _Budget(max_nodes, max_seconds)
+
+    comps = components(adj, (1 << n) - 1)
+    per_comp = [upper(adj, comp, budget.deadline) for comp in comps]
+    exact = True
+    try:
+        for i, comp in enumerate(comps):
+            ub, _ = per_comp[i]
+            lb = max(_degeneracy(adj, comp), _max_clique(adj, comp) - 1)
+            for w in range(lb, ub):
+                order = decide(adj, comp, w, budget, set())
+                if order is not None:
+                    per_comp[i] = (w, order)
+                    break
+    except _WidthBudget:
+        exact = False
+
+    value = max(width for width, _ in per_comp)
+    certificate = tuple(v for _, order in per_comp for v in order)
+    return WidthResult(kind, value, certificate, exact, budget.nodes)
 
 
 def treewidth_exact(
@@ -369,32 +407,10 @@ def treewidth_exact(
     memoizing refuted subsets per width.  Budget exhaustion returns the
     best upper bound found, flagged exact=False.
     """
-    n = graph.vertex_count
-    if n == 0:
-        raise ValueError("width of the empty graph is not defined here")
-    adj = adjacency_masks(graph)
-    budget = _Budget(max_nodes, max_seconds)
-
-    comps = components(adj, (1 << n) - 1)
-    per_comp: list[tuple[int, list[int]]] = [
-        _min_fill_order(adj, comp) for comp in comps
-    ]
-    exact = True
-    try:
-        for i, comp in enumerate(comps):
-            ub, _ = per_comp[i]
-            lb = max(_degeneracy(adj, comp), _max_clique(adj, comp) - 1)
-            for w in range(lb, ub):
-                order = _tw_decide(adj, -1, comp, w, budget, set())
-                if order is not None:
-                    per_comp[i] = (w, order)
-                    break
-    except _WidthBudget:
-        exact = False
-
-    value = max(width for width, _ in per_comp)
-    certificate = tuple(v for _, order in per_comp for v in order)
-    return WidthResult(KIND_TREEWIDTH, value, certificate, exact, budget.nodes)
+    return _deepen(
+        KIND_TREEWIDTH, graph, max_nodes, max_seconds,
+        lambda adj, comp, deadline: _min_fill_order(adj, comp), _tw_decide,
+    )
 
 
 def _pw_decide(
@@ -461,32 +477,27 @@ def pathwidth_exact(
     placed-sets memoize per width; components split.  Budget exhaustion
     returns the best upper bound found, flagged exact=False.
     """
-    n = graph.vertex_count
-    if n == 0:
-        raise ValueError("width of the empty graph is not defined here")
-    adj = adjacency_masks(graph)
-    budget = _Budget(max_nodes, max_seconds)
+    return _deepen(
+        KIND_PATHWIDTH, graph, max_nodes, max_seconds, _greedy_layout, _pw_decide
+    )
 
-    comps = components(adj, (1 << n) - 1)
-    per_comp: list[tuple[int, list[int]]] = [
-        _greedy_layout(adj, comp, budget.deadline) for comp in comps
-    ]
-    exact = True
-    try:
-        for i, comp in enumerate(comps):
-            ub, _ = per_comp[i]
-            lb = max(_degeneracy(adj, comp), _max_clique(adj, comp) - 1)
-            for w in range(lb, ub):
-                order = _pw_decide(adj, comp, w, budget, set())
-                if order is not None:
-                    per_comp[i] = (w, order)
-                    break
-    except _WidthBudget:
-        exact = False
 
-    value = max(width for width, _ in per_comp)
-    certificate = tuple(v for _, order in per_comp for v in order)
-    return WidthResult(KIND_PATHWIDTH, value, certificate, exact, budget.nodes)
+def widths_within_budget(
+    graph: Graph,
+    searches: Iterable[Callable[[Graph, int, float], WidthResult]],
+    max_nodes: int = DEFAULT_WIDTH_NODE_BUDGET,
+    max_seconds: float = DEFAULT_WIDTH_TIME_BUDGET,
+) -> list[WidthResult]:
+    """Run width searches in turn under one budget: each gets the nodes
+    and seconds the ones before it left.  Each result's nodes_explored
+    counts its own search only."""
+    deadline = time.monotonic() + max_seconds
+    results = []
+    for search in searches:
+        result = search(graph, max_nodes, deadline - time.monotonic())
+        max_nodes -= result.nodes_explored
+        results.append(result)
+    return results
 
 
 @dataclass(frozen=True)
@@ -521,8 +532,9 @@ def verify_width_lower_bound(
     if k is None:
         raise ValueError("instance carries no construction parameter k")
     bound = 2 ** k + 1
-    tw = treewidth_exact(instance.graph, max_nodes, max_seconds)
-    pw = pathwidth_exact(instance.graph, max_nodes, max_seconds)
+    tw, pw = widths_within_budget(
+        instance.graph, (treewidth_exact, pathwidth_exact), max_nodes, max_seconds
+    )
     if not (tw.exact and pw.exact):
         satisfied = None
     else:

@@ -6,6 +6,7 @@ from gridlinkage import (
     CALIBRATED_ARC_RULE_ID,
     CALIBRATED_S0_PLACEMENT,
     CalibrationError,
+    Instance,
     S0_BOTTOM_LEFT,
     S0_PLACEMENTS,
     S0_TOP_RIGHT,
@@ -19,7 +20,9 @@ from gridlinkage import (
     make_grid,
     rule_by_identifier,
     serialize_instance,
+    verify_instance,
 )
+from gridlinkage.construction import linkage_checks
 
 
 def arc_edges(instance):
@@ -168,6 +171,37 @@ class TestCalibration:
         assert inst.meta_map["arc_rule"] == CALIBRATED_ARC_RULE_ID
         assert inst.meta_map["k"] == 2
         assert inst.meta_map["s0_placement"] == S0_BOTTOM_LEFT
+
+
+class TestCheckBattery:
+    def test_calibrated_instance_passes_every_check(self):
+        rows = verify_instance(build_instance(2, s0_placement=S0_BOTTOM_LEFT))
+        assert [name for name, _, _ in rows] == [
+            "uniqueness", "spanning", "crossing profile", "crossing total",
+            "no irrelevant vertices",
+        ]
+        assert {verdict for _, verdict, _ in rows} == {"PASS"}
+
+    def test_calibration_reports_the_failing_rows(self):
+        report = calibrate_arc_rule(1).reports[1]
+        assert (report.rule_id, report.s0_placement) == ("pow2", S0_TOP_RIGHT)
+        assert report.violations == (
+            "k=1: uniqueness: solutions found: 2 (cap 2)",
+            "k=1: spanning: covers 8/9 vertices",
+            "k=1: crossing profile: got [0, 0], want [0, 1]",
+            "k=1: crossing total: got 0, want 1",
+        )
+
+    def test_exhausted_budget_is_indeterminate(self):
+        rows = linkage_checks(build_instance(2, s0_placement=S0_BOTTOM_LEFT), max_nodes=2)
+        assert [verdict for _, verdict, _ in rows] == ["INDETERMINATE"] * 4
+
+    def test_requires_k_and_layout(self):
+        inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
+        for bare in (Instance.make(inst.graph, inst.pairs, inst.layout),
+                     Instance.make(inst.graph, inst.pairs, None, inst.meta_map)):
+            with pytest.raises(ValueError):
+                verify_instance(bare)
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Serialization formats and the command line front end."""
 
 import json
+import time
 
 import pytest
 
@@ -349,6 +350,36 @@ class TestCli:
         path = tmp_path / "grid.col"
         path.write_text(write_edge_list(graph))
         assert main(["width", str(path), "--budget-nodes", "1"]) == EXIT_ABORTED
+
+    def test_width_spends_one_budget(self, tmp_path, capsys):
+        path = tmp_path / "k3.json"
+        path.write_text(serialize_instance(build_instance(3)))
+        start = time.monotonic()
+        assert main(["width", str(path), "--budget-seconds", "1"]) == EXIT_ABORTED
+        assert time.monotonic() - start < 1.5
+        assert "INDETERMINATE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{inst}", "--budget-seconds=--"],
+        ["verify", "{inst}", "--budget-nodes=--"],
+        ["generate", "-k=--"],
+        ["solve", "{inst}", "--out=--"],
+        ["verify", "{inst}", "--budget-seconds", "nan"],
+        ["verify", "{inst}", "--budget-seconds", "-1"],
+        ["verify", "{inst}", "--budget-nodes", "-1"],
+        ["width", "{inst}", "--budget-seconds", "-0.5"],
+        ["solve", "{inst}", "--budget-seconds", "nan"],
+        ["oracle", "--budget-nodes", "-5"],
+    ])
+    def test_bad_option_values_are_usage_errors(self, argv, instance_file, capsys):
+        argv = [arg.replace("{inst}", str(instance_file)) for arg in argv]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_infinite_budget_allowed(self, instance_file):
+        assert main(["verify", str(instance_file), "--budget-seconds", "inf"]) == EXIT_OK
 
     def test_render_svg(self, instance_file, tmp_path):
         fig = tmp_path / "fig.svg"

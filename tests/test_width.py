@@ -20,7 +20,7 @@ from gridlinkage import (
 )
 from gridlinkage.bitsets import adjacency_masks, components, iter_bits
 from gridlinkage.construction import S0_BOTTOM_LEFT
-from gridlinkage.width import _closure_neighbors, _eliminate
+from gridlinkage.width import _closure_neighbors, _eliminate, widths_within_budget
 from oracles import brute_pathwidth, brute_treewidth, connected_graphs
 
 
@@ -233,3 +233,17 @@ class TestBoundReport:
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
         report = verify_width_lower_bound(inst, max_nodes=1)
         assert report.satisfied is None
+
+    def test_one_time_budget_for_both_searches(self):
+        start = time.monotonic()
+        report = verify_width_lower_bound(build_instance(3), max_seconds=1.0)
+        assert time.monotonic() - start < 1.5
+        assert report.satisfied is None
+
+    def test_one_node_budget_for_both_searches(self):
+        graph, _ = make_grid(5, 5)
+        tw, pw = widths_within_budget(graph, (treewidth_exact, pathwidth_exact), 100)
+        # The search that runs out counts the node it refused, so the
+        # pathwidth search starts one node over and stops at its first.
+        assert (tw.nodes_explored, pw.nodes_explored) == (101, 1)
+        assert not tw.exact and not pw.exact
