@@ -16,6 +16,7 @@ CALIBRATED_S0_PLACEMENT; the test suite re-derives it from scratch.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -249,9 +250,16 @@ def verify_instance(
     max_seconds: float = DEFAULT_TIME_BUDGET,
 ) -> list[tuple[str, str, str]]:
     """linkage_checks() rows plus a "no irrelevant vertices" row from
-    irrelevant_vertices() under the same budget: the full battery."""
+    irrelevant_vertices(): the full battery.
+
+    max_nodes bounds each search; max_seconds is one deadline for the
+    whole battery, so the sweep gets what the count search left.
+    """
+    deadline = time.monotonic() + max_seconds
     checks = linkage_checks(instance, max_nodes, max_seconds)
-    irr = irrelevant_vertices(instance, max_nodes=max_nodes, max_seconds=max_seconds)
+    irr = irrelevant_vertices(
+        instance, max_nodes=max_nodes, max_seconds=deadline - time.monotonic()
+    )
     if irr.indeterminate:
         checks.append(("no irrelevant vertices", "INDETERMINATE",
                        f"{len(irr.indeterminate)} deletions exhausted their budget"))

@@ -22,6 +22,12 @@ holds them all, or runs dry and so finds a piece that split off.  A
 component no label covers yet is flooded when a prune first asks about
 it.
 
+Every emitted solution is re-checked inside the search, with the same
+adjacency masks: each path once, when its pair closes (ends, edges, no
+repeated vertex, none used by an earlier path), and at emission the
+last path plus the spanning test.  check_linkage() stays the separate
+public checker and raises the same messages.
+
 Budgets bound the search; an exhausted budget surfaces as status
 "aborted" and is never coerced into an answer.
 """
@@ -32,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .bitsets import adjacency_masks, components, split_components
+from .bitsets import adjacency_masks, components, iter_bits, split_components
 from .graphs import Graph, GridLayout, ROLE_BORDER, ROLE_EXTERIOR, validate_path
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -158,6 +164,50 @@ def check_linkage(
         raise ValueError("linkage does not span all vertices")
 
 
+def _check_closed(
+    adj: list[int],
+    pairs: tuple[tuple[int, int], ...],
+    paths: list[tuple[int, ...]],
+    used: int,
+    cover: int | None = None,
+) -> int:
+    """The check solve() runs when it closes a pair: paths[-1] must join
+    pairs[len(paths) - 1] along edges of adj, repeat no vertex and miss
+    used, the vertex mask of the paths before it.  Returns used with the
+    path's vertices added.
+
+    cover is None while the linkage is still being built.  When it is a
+    mask, paths is the whole linkage: there must be one path per pair
+    and the paths' vertices must include cover.  Every fault raises the
+    ValueError check_linkage raises for it.
+    """
+    if cover is not None and len(paths) != len(pairs):
+        raise ValueError("one path per terminal pair required")
+    if paths:
+        path = paths[-1]
+        if not path:
+            raise ValueError("empty vertex sequence is not a path")
+        mask = 0
+        for v in path:
+            mask |= 1 << v
+        if mask.bit_count() != len(path):
+            raise ValueError("path repeats a vertex")
+        a = path[0]
+        for b in path[1:]:
+            if not adj[a] >> b & 1:
+                raise ValueError(f"({a}, {b}) is not an edge")
+            a = b
+        s, t = pairs[len(paths) - 1]
+        if path[0] != s or a != t:
+            raise ValueError(f"path endpoints {path[0]},{a} differ from pair {s},{t}")
+        if used & mask:
+            raise ValueError(f"paths share vertices {list(iter_bits(used & mask))}")
+        used |= mask
+    if cover and cover & ~used:
+        raise ValueError("linkage does not span all vertices")
+    return used
+
+
 ORDER_ASCENDING = "ascending"
 ORDER_MIN_DEGREE = "min-degree"
 PAIR_ORDER_INPUT = "input"
@@ -192,7 +242,8 @@ def solve(
     default) or "auto", which routes pairs whose tighter endpoint has the
     fewest open neighbors first; ties keep input order.  Reported paths
     always follow the input pair order.  All four combinations are
-    deterministic and none changes the solution set.
+    deterministic and none changes the solution set.  With
+    require_spanning a solution must cover every vertex not blocked.
 
     A node is pruned when a pair can no longer be joined: the current
     pair from its path head to t, or a pending pair from s to t.  The
@@ -209,6 +260,12 @@ def solve(
     local test around the entered vertex, or else by a flood from its
     neighbors that runs dry before it reaches them all.  The search
     keeps its own stack, so long paths do not hit the recursion limit.
+
+    The search checks each path once, when it closes the path's pair,
+    against the adjacency masks and the OR of the paths closed before
+    it (see _check_closed).  A solution is emitted only after its last
+    path and, under require_spanning, its cover pass the same check.
+    A fault raises the ValueError check_linkage() would raise.
     """
     if mode == "decide":
         cap = 1
@@ -267,7 +324,13 @@ def solve(
     deadline = start + max_seconds
     nodes = 0
     found: list[tuple[tuple[int, ...], ...]] = []
+    # done_paths holds the closed paths in search order; used_masks[j]
+    # is the vertex mask of the first j of them.
     done_paths: list[tuple[int, ...]] = []
+    used_masks = [0]
+    # The vertices a complete linkage must cover: under require_spanning
+    # all but the blocked ones, which count as deleted.
+    cover = all_mask & ~blocked_mask if require_spanning else 0
     no_labels: tuple[list[int], int] = ([], 0)
 
     def feasible(
@@ -349,11 +412,12 @@ def solve(
     def complete(free: int) -> None:
         if require_spanning and free:
             return
+        # The paths before the last were checked as their pairs closed.
+        _check_closed(adj, search_pairs, done_paths, used_masks[-1], cover)
         by_input: list[tuple[int, ...]] = [()] * len(pairs)
         for j, p in enumerate(done_paths):
             by_input[proc[j]] = p
         paths = tuple(by_input)
-        check_linkage(instance, paths, require_spanning)
         found.append(paths)
         if cap is not None and len(found) >= cap:
             raise _CapHit
@@ -414,6 +478,7 @@ def solve(
                             route.pop()
                             if idx:
                                 done_paths.pop()
+                                used_masks.pop()
                         continue
                     if min_degree:
                         v = candidates.pop()[1]
@@ -453,6 +518,9 @@ def solve(
                         complete(free)
                         done_paths.pop()
                         continue
+                    used_masks.append(
+                        _check_closed(adj, search_pairs, done_paths, used_masks[-1])
+                    )
                     idx += 1
                     head = search_pairs[idx][0]
                     route.append([head])

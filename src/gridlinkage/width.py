@@ -120,10 +120,13 @@ def width_of_layout(graph: Graph, order: Iterable[int]) -> int:
     return worst
 
 
-def _degeneracy(adj: list[int], comp: int) -> int:
+def _degeneracy(adj: list[int], comp: int, deadline: float) -> int:
+    # Past the deadline the bound reached so far stands; it is still a
+    # lower bound, since each minimum degree seen is at most the
+    # degeneracy.
     rest = comp
     best = 0
-    while rest:
+    while rest and time.monotonic() <= deadline:
         v = min(iter_bits(rest), key=lambda u: ((adj[u] & rest).bit_count(), u))
         best = max(best, (adj[v] & rest).bit_count())
         rest &= ~(1 << v)
@@ -179,20 +182,27 @@ def _fill_in(nbrs: list[int], v: int) -> int:
     return missing // 2
 
 
-def _min_fill_order(adj: list[int], comp: int) -> tuple[int, list[int]]:
+def _min_fill_order(
+    adj: list[int], comp: int, deadline: float
+) -> tuple[int, list[int]]:
     # Greedy upper bound: repeatedly eliminate the vertex whose residual
     # neighbours miss the fewest edges amongst themselves.  The residual
     # masks start as adj (comp is a whole component) and are carried
-    # through _eliminate after every choice.
+    # through _eliminate after every choice.  Past the deadline the
+    # remaining vertices go in ascending order, and the width reported
+    # is still the width of the order returned.
     nbrs = adj
     remaining = comp
     order: list[int] = []
     width = 0
     while remaining:
-        best = min(
-            iter_bits(remaining),
-            key=lambda v: (_fill_in(nbrs, v), nbrs[v].bit_count(), v),
-        )
+        if time.monotonic() > deadline:
+            best = (remaining & -remaining).bit_length() - 1
+        else:
+            best = min(
+                iter_bits(remaining),
+                key=lambda v: (_fill_in(nbrs, v), nbrs[v].bit_count(), v),
+            )
         width = max(width, nbrs[best].bit_count())
         nbrs = _eliminate(nbrs, best)
         remaining &= ~(1 << best)
@@ -381,7 +391,7 @@ def _deepen(
     try:
         for i, comp in enumerate(comps):
             ub, _ = per_comp[i]
-            lb = max(_degeneracy(adj, comp), _max_clique(adj, comp) - 1)
+            lb = max(_degeneracy(adj, comp, budget.deadline), _max_clique(adj, comp) - 1)
             for w in range(lb, ub):
                 order = decide(adj, comp, w, budget, set())
                 if order is not None:
@@ -408,8 +418,7 @@ def treewidth_exact(
     best upper bound found, flagged exact=False.
     """
     return _deepen(
-        KIND_TREEWIDTH, graph, max_nodes, max_seconds,
-        lambda adj, comp, deadline: _min_fill_order(adj, comp), _tw_decide,
+        KIND_TREEWIDTH, graph, max_nodes, max_seconds, _min_fill_order, _tw_decide
     )
 
 

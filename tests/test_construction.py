@@ -1,5 +1,7 @@
 """Instance generator: terminal placement, arcs, calibration."""
 
+import time
+
 import pytest
 
 from gridlinkage import (
@@ -195,6 +197,15 @@ class TestCheckBattery:
     def test_exhausted_budget_is_indeterminate(self):
         rows = linkage_checks(build_instance(2, s0_placement=S0_BOTTOM_LEFT), max_nodes=2)
         assert [verdict for _, verdict, _ in rows] == ["INDETERMINATE"] * 4
+
+    def test_one_deadline_for_the_whole_battery(self):
+        # The k = 3 count search cannot finish in a second; the sweep
+        # then gets what is left of the same second, not a second own.
+        instance = build_instance(3)
+        start = time.monotonic()
+        rows = verify_instance(instance, max_seconds=1.0)
+        assert time.monotonic() - start < 1.5
+        assert [verdict for _, verdict, _ in rows] == ["INDETERMINATE"] * 5
 
     def test_requires_k_and_layout(self):
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)

@@ -5,6 +5,8 @@ contracts: canonical output order, budget handling, and the vitality
 and irrelevance checks built on top of the solver.
 """
 
+import random
+
 import pytest
 
 from gridlinkage import (
@@ -25,10 +27,13 @@ from gridlinkage import (
     make_grid,
     pairing_of,
     pattern_of,
+    random_batch,
     solve,
     spans_all_vertices,
 )
+from gridlinkage.bitsets import adjacency_masks
 from gridlinkage.construction import S0_BOTTOM_LEFT
+from gridlinkage.solver import _check_closed
 
 
 @pytest.fixture
@@ -207,6 +212,39 @@ class TestBlockedVertices:
         out = solve(two_pair, mode="enumerate_all", blocked=[4])
         assert tuple(s.paths for s in out.solutions) == (((0, 1, 2), (6, 7, 8)),)
 
+    def test_spanning_covers_what_is_not_blocked(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        out = solve(Instance.make(g, [(0, 2)]), require_spanning=True, blocked=(3,))
+        assert [s.paths for s in out.solutions] == [((0, 1, 2),)]
+
+    def test_spanning_with_blocked_matches_oracle_on_the_rest(self):
+        # Blocking B must act as deleting it: compare with the oracle on
+        # G - B, relabelled in ascending order so solution order carries.
+        rng = random.Random(7)
+        solvable = 0
+        for inst in random_batch(20261018, 300, max_vertices=9):
+            n = inst.graph.vertex_count
+            terminals = {v for pair in inst.pairs for v in pair}
+            others = [v for v in range(n) if v not in terminals]
+            blocked = rng.sample(others, rng.randint(0, min(2, len(others))))
+            keep = [v for v in range(n) if v not in blocked]
+            new_id = {v: i for i, v in enumerate(keep)}
+            rest = Instance.make(
+                Graph.from_edges(len(keep), [
+                    (new_id[u], new_id[v]) for u, v in inst.graph.edges
+                    if u in new_id and v in new_id
+                ]),
+                [(new_id[s], new_id[t]) for s, t in inst.pairs],
+            )
+            got = solve(inst, mode="enumerate_all", require_spanning=True, blocked=blocked)
+            want = brute_force_oracle(rest, require_spanning=True)
+            assert got.status == want.status
+            assert [s.paths for s in got.solutions] == [
+                tuple(tuple(keep[v] for v in p) for p in s.paths) for s in want.solutions
+            ]
+            solvable += blocked != [] and got.status == STATUS_SOLVABLE
+        assert solvable >= 10
+
 
 class TestBudgets:
     def test_abort_status_is_honest(self, two_pair):
@@ -282,6 +320,56 @@ class TestCheckLinkage:
     def test_rejects_non_spanning_when_required(self, two_pair):
         with pytest.raises(ValueError):
             check_linkage(two_pair, SEVEN[0], require_spanning=True)
+
+
+def search_check(instance, paths, require_spanning=False):
+    """Run solve()'s own linkage check in the order the search runs it:
+    each path as its pair closes, the whole linkage at emission."""
+    adj = adjacency_masks(instance.graph)
+    closed, used = [], 0
+    for path in paths[:-1]:
+        closed.append(path)
+        used = _check_closed(adj, instance.pairs, closed, used)
+    cover = (1 << instance.graph.vertex_count) - 1 if require_spanning else 0
+    _check_closed(adj, instance.pairs, list(paths), used, cover)
+
+
+# (linkage, require_spanning) for two_pair, each wrong in one way.
+BAD_LINKAGES = {
+    "non-edge step": (((0, 1, 2), (6, 7, 5, 8)), False),
+    "repeated vertex": (((0, 1, 4, 1, 2), (6, 7, 8)), False),
+    "shared with an earlier path": (((0, 1, 4, 5, 2), (6, 3, 4, 7, 8)), False),
+    "swapped ends": (((2, 1, 0), (6, 7, 8)), False),
+    "wrong end": (((0, 1, 2), (6, 7, 4)), False),
+    "empty path": (((0, 1, 2), ()), False),
+    "missing path": (((0, 1, 2),), False),
+    "extra path": (((0, 1, 2), (6, 7, 8), (3, 4, 5)), False),
+    "not spanning": (SEVEN[0], True),
+}
+
+
+class TestCheckerMutations:
+    """check_linkage and solve()'s in-search check reject the same bad
+    linkages with the same message."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINKAGES))
+    def test_both_checkers_reject(self, two_pair, case):
+        paths, spanning = BAD_LINKAGES[case]
+        with pytest.raises(ValueError) as independent:
+            check_linkage(two_pair, paths, spanning)
+        with pytest.raises(ValueError) as in_search:
+            search_check(two_pair, paths, spanning)
+        assert str(in_search.value) == str(independent.value)
+
+    def test_both_checkers_accept(self, grid3, two_pair):
+        for paths in SEVEN:
+            check_linkage(two_pair, paths)
+            search_check(two_pair, paths)
+        graph, layout = grid3
+        inst = Instance.make(graph, [(0, 2), (3, 5), (6, 8)], layout)
+        spanning = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+        check_linkage(inst, spanning, require_spanning=True)
+        search_check(inst, spanning, require_spanning=True)
 
 
 class TestBruteOracle:

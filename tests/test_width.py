@@ -240,6 +240,16 @@ class TestBoundReport:
         assert time.monotonic() - start < 1.5
         assert report.satisfied is None
 
+    def test_greedy_bounds_keep_the_deadline(self):
+        # The min-fill bound alone takes seconds on k = 5's 1,089
+        # vertices; past the deadline it finishes in ascending order.
+        graph = build_instance(5).graph
+        start = time.monotonic()
+        result = treewidth_exact(graph, max_seconds=0.5)
+        assert time.monotonic() - start < 1.5
+        assert not result.exact
+        assert width_of_elimination_order(graph, result.certificate) == result.value
+
     def test_one_node_budget_for_both_searches(self):
         graph, _ = make_grid(5, 5)
         tw, pw = widths_within_budget(graph, (treewidth_exact, pathwidth_exact), 100)
