@@ -20,13 +20,14 @@ neighbor in it, or when v's neighbors in it are linked through their
 own neighborhoods; otherwise a flood from those neighbors stops once it
 holds them all, or runs dry and so finds a piece that split off.  A
 component no label covers yet is flooded when a prune first asks about
-it.
+it.  The tests themselves are inherited too: a node re-tests only the
+pairs and the free vertices its move can have affected.
 
 Every emitted solution is re-checked inside the search, with the same
-adjacency masks: each path once, when its pair closes (ends, edges, no
-repeated vertex, none used by an earlier path), and at emission the
-last path plus the spanning test.  check_linkage() stays the separate
-public checker and raises the same messages.
+adjacency masks: each path once, at the first emission that holds it
+(ends, edges, no repeated vertex, none used by an earlier path), plus
+the spanning test.  check_linkage() stays the separate public checker
+and raises the same messages.
 
 Budgets bound the search; an exhausted budget surfaces as status
 "aborted" and is never coerced into an answer.
@@ -171,7 +172,7 @@ def _check_closed(
     used: int,
     cover: int | None = None,
 ) -> int:
-    """The check solve() runs when it closes a pair: paths[-1] must join
+    """The check solve() runs once per closed path: paths[-1] must join
     pairs[len(paths) - 1] along edges of adj, repeat no vertex and miss
     used, the vertex mask of the paths before it.  Returns used with the
     path's vertices added.
@@ -261,11 +262,22 @@ def solve(
     neighbors that runs dry before it reaches them all.  The search
     keeps its own stack, so long paths do not hit the recursion limit.
 
-    The search checks each path once, when it closes the path's pair,
-    against the adjacency masks and the OR of the paths closed before
-    it (see _check_closed).  A solution is emitted only after its last
-    path and, under require_spanning, its cover pass the same check.
-    A fault raises the ValueError check_linkage() would raise.
+    A node re-tests only what its move can have changed, since its
+    parent passed every test.  After a step to v the current pair is
+    re-tested, and a pending pair only when v is next to one of its
+    terminals, v's component split, or v lay in no labelled component.
+    After a pair closes the free set is the same, so no pair is
+    re-tested.  The spanning two-neighbor test is redone only on free
+    vertices next to what just left the set a path may still attach
+    to: the old head, and t when its pair closed.  The root tests
+    everything.
+
+    The search checks each path once, at the first emission that holds
+    it, against the adjacency masks and the OR of the paths before it
+    (see _check_closed); a path no solution extends is never checked.
+    A solution is emitted only after all its paths and, under
+    require_spanning, its cover pass the same check.  A fault raises
+    the ValueError check_linkage() would raise.
     """
     if mode == "decide":
         cap = 1
@@ -325,27 +337,39 @@ def solve(
     nodes = 0
     found: list[tuple[tuple[int, ...], ...]] = []
     # done_paths holds the closed paths in search order; used_masks[j]
-    # is the vertex mask of the first j of them.
+    # is the vertex mask of the first j of them, or None until complete()
+    # has checked them.
     done_paths: list[tuple[int, ...]] = []
-    used_masks = [0]
+    used_masks: list[int | None] = [0]
     # The vertices a complete linkage must cover: under require_spanning
     # all but the blocked ones, which count as deleted.
     cover = all_mask & ~blocked_mask if require_spanning else 0
     no_labels: tuple[list[int], int] = ([], 0)
 
     def feasible(
-        idx: int, head: int, free: int, labels: tuple[list[int], int]
+        idx: int,
+        head: int,
+        free: int,
+        labels: tuple[list[int], int],
+        stale: int,
     ) -> tuple[list[int], int] | None:
         # labels = (comps, labelled): components of free already
         # labelled and their union, inherited from the parent node.
         # Returns None to prune, else the labels the children inherit;
         # the list passed in is never changed, since siblings share it.
+        # The parent passed every test, so a node redoes only what its
+        # move can have changed.  stale is 0 right after a pair closed
+        # (free is the same, so no pair test is redone), the bit of the
+        # vertex just entered when its component stayed whole (the
+        # current pair, and each pending pair next to that vertex), or
+        # -1 at the root and after a split or an entry into an
+        # unlabelled component (every pair).
         t_cur = search_pairs[idx][1]
         if idx == last and not require_spanning:
             # One question only: flood out of the head's neighborhood and
             # stop as soon as the flood touches t_cur's.  No labels are
             # kept; the children are last-pair nodes too.
-            if adj[head] >> t_cur & 1:
+            if not stale or adj[head] >> t_cur & 1:
                 return no_labels
             target = adj[t_cur] & free
             frontier = adj[head] & free
@@ -365,9 +389,11 @@ def solve(
         # free touching both ends' neighborhoods.  Components are flooded
         # on first touch and shared by all pairs and the spanning check.
         comps, labelled = labels
-        for a, b in ((head, t_cur),) + search_pairs[idx + 1:]:
+        for a, b in ((head, t_cur),) + search_pairs[idx + 1:] if stale else ():
             if adj[a] >> b & 1:
                 continue
+            if stale > 0 and a != head and not (adj[a] | adj[b]) & stale:
+                continue  # a pending pair the move cannot have cut
             near_a = adj[a] & free
             fresh = near_a & ~labelled
             if fresh:
@@ -398,8 +424,17 @@ def solve(
             for comp in comps:
                 if not comp & seeds:
                     return None
+            # Only free vertices next to what just left the attach set
+            # can have lost a possible neighbor: the old head, and the
+            # closed pair's t right after a close.  The root tests all.
             attach_base = free | (1 << head) | pending_terms[idx + 1] | (1 << t_cur)
-            m = free
+            path = route[-1]
+            if len(path) > 1:
+                m = free & adj[path[-2]]
+            elif idx:
+                m = free & (adj[route[-2][-1]] | adj[search_pairs[idx - 1][1]])
+            else:
+                m = free
             while m:
                 low = m & -m
                 if (adj[low.bit_length() - 1] & attach_base).bit_count() < 2:
@@ -412,12 +447,23 @@ def solve(
     def complete(free: int) -> None:
         if require_spanning and free:
             return
-        # The paths before the last were checked as their pairs closed.
-        _check_closed(adj, search_pairs, done_paths, used_masks[-1], cover)
-        by_input: list[tuple[int, ...]] = [()] * len(pairs)
-        for j, p in enumerate(done_paths):
-            by_input[proc[j]] = p
-        paths = tuple(by_input)
+        # Each path before the last is checked at the first emission that
+        # holds it, and stays checked until backtracking drops it.
+        used = used_masks[-1]
+        if used is None:
+            for j in range(used_masks.index(None), len(used_masks)):
+                used_masks[j] = _check_closed(
+                    adj, search_pairs, done_paths[:j], used_masks[j - 1]
+                )
+            used = used_masks[-1]
+        _check_closed(adj, search_pairs, done_paths, used, cover)
+        if search_pairs is pairs:  # searched in input order already
+            paths = tuple(done_paths)
+        else:
+            by_input: list[tuple[int, ...]] = [()] * len(pairs)
+            for j, p in enumerate(done_paths):
+                by_input[proc[j]] = p
+            paths = tuple(by_input)
         found.append(paths)
         if cap is not None and len(found) >= cap:
             raise _CapHit
@@ -437,6 +483,7 @@ def solve(
         if search_pairs:
             idx, head, free = 0, search_pairs[0][0], free0
             labels = no_labels
+            stale = -1
             route.append([head])
             while True:
                 # Enter the node (idx, head, free) with the labels it
@@ -450,7 +497,7 @@ def solve(
                     raise _BudgetExhausted
                 t = search_pairs[idx][1]
                 if pruning:
-                    labels = feasible(idx, head, free, labels)
+                    labels = feasible(idx, head, free, labels, stale)
                 if labels is None:
                     stack.append([idx, free, t, 0, None])
                 else:
@@ -501,8 +548,12 @@ def solve(
                                 i += 1
                             comp = comps[i] ^ bit
                             ends = adj[v] & comp
+                            stale = bit
                             if ends & (ends - 1):
-                                comps = comps[:i] + split_components(adj, comp, ends) + comps[i + 1:]
+                                pieces = split_components(adj, comp, ends)
+                                if len(pieces) > 1:
+                                    stale = -1
+                                comps = comps[:i] + pieces + comps[i + 1:]
                             else:
                                 comps = comps.copy()
                                 if ends:
@@ -510,17 +561,20 @@ def solve(
                                 else:
                                     del comps[i]
                             labels = comps, labelled ^ bit
+                        else:
+                            # A component no label covers may have split
+                            # unseen: every pair is re-tested.
+                            stale = -1
                         break
-                    # Closing a pair leaves free, and so the labels, as
-                    # they are.
+                    # Closing a pair leaves free, and so the labels and
+                    # every pair test, as they are.
                     done_paths.append(tuple(route[-1]) + (t,))
                     if idx == last:
                         complete(free)
                         done_paths.pop()
                         continue
-                    used_masks.append(
-                        _check_closed(adj, search_pairs, done_paths, used_masks[-1])
-                    )
+                    used_masks.append(None)
+                    stale = 0
                     idx += 1
                     head = search_pairs[idx][0]
                     route.append([head])

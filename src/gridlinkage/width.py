@@ -213,8 +213,11 @@ def _min_fill_order(
 # Layout scoring.  A layout's boundary is the set of placed vertices that
 # still have an unplaced neighbour; its width is the largest boundary any
 # prefix has.  The boundary is kept as a bitmask and updated per placed
-# vertex rather than recounted.  nb holds each vertex's neighbours inside
-# the component being laid out, rest the vertices not placed yet.
+# vertex rather than recounted, and a move is scored only where it can
+# fit: once the boundary holds limit vertices, only a neighbour of a
+# boundary vertex with one unplaced neighbour left can be placed next.
+# nb holds each vertex's neighbours inside the component being laid
+# out, rest the vertices not placed yet.
 
 
 def _still_open(nb: list[int], boundary: int, rest: int) -> int:
@@ -234,8 +237,13 @@ def _moves(
     # (size, v, boundary) after placing v next, for every v in rest
     # whose placement keeps the boundary within limit, ascending by v.
     # Placing v adds v if it keeps an unplaced neighbour and drops the
-    # boundary vertices whose one unplaced neighbour was v.
+    # boundary vertices whose one unplaced neighbour was v (sole); near
+    # holds those last neighbours.  A boundary already at limit leaves
+    # only moves into near: any other v keeps every boundary vertex and,
+    # when each unplaced vertex has an unplaced neighbour (as after the
+    # decide search's absorption), adds itself.
     sole = 0
+    near = 0
     m = boundary
     while m:
         low = m & -m
@@ -243,8 +251,9 @@ def _moves(
         left = nb[low.bit_length() - 1] & rest
         if not left & (left - 1):
             sole |= low
+            near |= left
     moves = []
-    m = rest
+    m = near if boundary.bit_count() >= limit else rest
     while m:
         low = m & -m
         m ^= low
@@ -263,9 +272,12 @@ def _greedy_layout(
     adj: list[int], comp: int, deadline: float
 ) -> tuple[int, list[int]]:
     # Pathwidth upper bound: greedy sweep from every start vertex,
-    # always placing next whatever keeps the boundary smallest.  Past
-    # the deadline no further start is tried and the best layout so far
-    # stands; the search that follows then stops at its first node.
+    # always placing next whatever keeps the boundary smallest.  The
+    # clock is read before each start and every 64 placements; past the
+    # deadline the sweep under way is dropped and the best complete
+    # layout so far stands, and the search that follows then stops at
+    # its first node.  limit is the component's size, which no boundary
+    # reaches, so _moves scores every unplaced vertex here.
     nb = [a & comp for a in adj]
     best_order = sorted(iter_bits(comp))
     best_width = 0
@@ -283,6 +295,8 @@ def _greedy_layout(
         boundary = _still_open(nb, 1 << start, rest)
         width = boundary.bit_count()
         while rest and width < best_width:
+            if not len(order) % 64 and time.monotonic() > deadline:
+                return best_width, best_order
             size, v, boundary = min(_moves(nb, boundary, rest, comp.bit_count()))
             width = max(width, size)
             rest ^= 1 << v
@@ -442,7 +456,9 @@ def _pw_decide(
         # (the last move's unplaced neighbours) can have lost their last
         # unplaced neighbour since the parent's absorption, so one
         # ascending pass over fresh absorbs exactly what repeated passes
-        # over every unplaced vertex would, in the same order.
+        # over every unplaced vertex would, in the same order.  Afterwards
+        # every unplaced vertex has an unplaced neighbour, which is what
+        # lets _moves score only near at a full boundary.
         absorbed = 0
         m = fresh
         while m:

@@ -244,3 +244,86 @@ def test_split_batch_matches_oracle(family):
                           order=order, pair_order=pair_order)
             assert len(first.solutions) == min(1, len(want))
             assert all(link.paths in want for link in first.solutions)
+
+
+# Three and four pairs, so that most nodes have pending pairs whose
+# joinability a move may or may not change: a move re-tests a pending
+# pair only when it enters a neighbor of that pair's terminals, splits
+# its component or enters a component not labelled yet.  With blocked,
+# one to three random non-terminals are blocked.
+
+
+def _sparse_graph(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    n = rng.randint(12, 18)
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    for _ in range(rng.randint(n // 2, n)):
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return n, sorted(edges)
+
+
+def _pending_batch(family: str) -> list[tuple[Instance, tuple[int, ...], str, str]]:
+    """60 seeded instances of one family, each with a blocked set and an
+    order setting.  Grid terminals sit on the border."""
+    rng = random.Random(f"pending/{family}")
+    batch = []
+    for i in range(60):
+        if family == "grid":
+            rows, cols = rng.randint(4, 5), rng.randint(4, 6)
+            n, edges = rows * cols, []
+            for v in range(n):
+                r, c = divmod(v, cols)
+                if c + 1 < cols:
+                    edges.append((v, v + 1))
+                if r + 1 < rows:
+                    edges.append((v, v + cols))
+            ends = [v for v in range(n)
+                    if v // cols in (0, rows - 1) or v % cols in (0, cols - 1)]
+        else:
+            n, edges = _sparse_graph(rng)
+            ends = list(range(n))
+        k = rng.randint(3, 4)
+        terminals = rng.sample(ends, 2 * k)
+        pairs = [(terminals[2 * j], terminals[2 * j + 1]) for j in range(k)]
+        others = sorted(set(range(n)) - set(terminals))
+        blocked = tuple(sorted(rng.sample(others, rng.randint(1, 3))))
+        order = ("ascending", "min-degree")[i % 2]
+        pair_order = ("input", "auto")[i // 2 % 2]
+        batch.append(
+            (Instance.make(Graph.from_edges(n, edges), pairs), blocked, order, pair_order)
+        )
+    return batch
+
+
+# (family, require_spanning, with blocked, mode, total nodes_explored,
+#  digest of the per-instance (nodes_explored, solution digest) list)
+PENDING_PINNED = [
+    ("grid", False, False, "decide", 6012, "21fd8ef5efa13c6f"),
+    ("grid", False, False, "enumerate_all", 23804, "abd2c34f037a3c08"),
+    ("grid", False, True, "decide", 924, "f611e4c669f345a7"),
+    ("grid", False, True, "enumerate_all", 2871, "9621a82f779e851c"),
+    ("grid", True, False, "decide", 2540, "3f6725bb19962f29"),
+    ("grid", True, False, "enumerate_all", 3227, "e10cd0ac198ca7c3"),
+    ("grid", True, True, "decide", 414, "8d62ee5a43e1193c"),
+    ("grid", True, True, "enumerate_all", 414, "8d62ee5a43e1193c"),
+    ("sparse", False, False, "decide", 288, "b0ed5723ddc3059f"),
+    ("sparse", False, False, "enumerate_all", 876, "c1f1176e83813862"),
+    ("sparse", False, True, "decide", 135, "8241fd10ca94721e"),
+    ("sparse", False, True, "enumerate_all", 271, "7c589943bc140a97"),
+    ("sparse", True, False, "decide", 151, "f9feaffc5950d86c"),
+    ("sparse", True, False, "enumerate_all", 159, "2bc26e1749fbfd1e"),
+    ("sparse", True, True, "decide", 110, "b037610b21144565"),
+    ("sparse", True, True, "enumerate_all", 110, "b037610b21144565"),
+]
+
+
+@pytest.mark.parametrize("family,spanning,with_blocked,mode,nodes,digest", PENDING_PINNED)
+def test_pending_batch_pinned(family, spanning, with_blocked, mode, nodes, digest):
+    rows = []
+    for instance, blocked, order, pair_order in _pending_batch(family):
+        out = solve(instance, mode=mode, require_spanning=spanning,
+                    blocked=blocked if with_blocked else (),
+                    order=order, pair_order=pair_order)
+        rows.append((out.nodes_explored, _digest(out)))
+    got = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    assert (sum(nodes for nodes, _ in rows), got) == (nodes, digest)

@@ -20,7 +20,15 @@ from gridlinkage import (
 )
 from gridlinkage.bitsets import adjacency_masks, components, iter_bits
 from gridlinkage.construction import S0_BOTTOM_LEFT
-from gridlinkage.width import _closure_neighbors, _eliminate, widths_within_budget
+from gridlinkage import width as width_module
+from gridlinkage.width import (
+    _closure_neighbors,
+    _eliminate,
+    _moves,
+    _pw_decide,
+    _Budget,
+    widths_within_budget,
+)
 from oracles import brute_pathwidth, brute_treewidth, connected_graphs
 
 
@@ -167,6 +175,83 @@ class TestBudgets:
         assert time.monotonic() - start < 4.0
         assert not result.exact
         assert width_of_layout(graph, result.certificate) == result.value
+
+
+    def test_greedy_layout_stops_mid_sweep(self, monkeypatch):
+        # A path with shuffled labels: ascending order is a wide layout,
+        # and each greedy sweep runs the path's length at width <= 2, so
+        # only the deadline can stop the first sweep.  The clock passes
+        # the deadline once the sweep has placed 100 vertices.
+        rng = random.Random(8)
+        labels = list(range(200))
+        rng.shuffle(labels)
+        graph = Graph.from_edges(200, [(labels[i], labels[i + 1]) for i in range(199)])
+        placed = 0
+
+        def counting_moves(*args):
+            nonlocal placed
+            placed += 1
+            return _moves(*args)
+
+        monkeypatch.setattr(width_module, "_moves", counting_moves)
+        monkeypatch.setattr(
+            width_module.time, "monotonic", lambda: 0.0 if placed < 100 else 10.0
+        )
+        result = pathwidth_exact(graph, max_seconds=1.0)
+        assert 100 <= placed < 100 + 64
+        assert not result.exact
+        # The unfinished sweep is dropped: the ascending layout stands.
+        assert result.certificate == tuple(range(200))
+        assert width_of_layout(graph, result.certificate) == result.value
+
+
+class TestIncrementalMoves:
+    """_moves, scoring only near at a full boundary, lists the same moves
+    as a scorer that recounts every candidate's boundary."""
+
+    @staticmethod
+    def recounted_moves(nb, placed, rest, limit):
+        moves = []
+        for v in iter_bits(rest):
+            left = rest & ~(1 << v)
+            grown = 0
+            for u in iter_bits(placed | 1 << v):
+                if nb[u] & left:
+                    grown |= 1 << u
+            if grown.bit_count() <= limit:
+                moves.append((grown.bit_count(), v, grown))
+        return moves
+
+    def test_moves_match_recount_on_search_states(self, monkeypatch):
+        calls = []
+
+        def recording_moves(nb, boundary, rest, limit):
+            out = _moves(nb, boundary, rest, limit)
+            calls.append((nb, boundary, rest, limit, out))
+            return out
+
+        monkeypatch.setattr(width_module, "_moves", recording_moves)
+        rng = random.Random(13)
+        full = {True: 0, False: 0}
+        for _ in range(60):
+            n = rng.randint(6, 13)
+            edges = {(rng.randrange(i), i) for i in range(1, n)}
+            for _ in range(rng.randint(0, 2 * n)):
+                a, b = sorted(rng.sample(range(n), 2))
+                edges.add((a, b))
+            adj = adjacency_masks(Graph.from_edges(n, edges))
+            comp = (1 << n) - 1
+            for limit in range(1, 7):
+                calls.clear()
+                _pw_decide(adj, comp, limit, _Budget(200_000, 60.0), set())
+                for nb, boundary, rest, w, out in calls:
+                    placed = comp & ~rest
+                    assert boundary == sum(
+                        1 << u for u in iter_bits(placed) if nb[u] & rest
+                    )
+                    assert out == self.recounted_moves(nb, placed, rest, w)
+                    full[boundary.bit_count() == w] += 1
+        assert full[True] > 1000 and full[False] > 1000
 
 
 class TestIncrementalElimination:
