@@ -17,7 +17,6 @@ CALIBRATED_S0_PLACEMENT; the test suite re-derives it from scratch.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graphs import (
@@ -291,7 +290,6 @@ def calibrate_arc_rule(
     k_max: int = 2,
     max_nodes: int = DEFAULT_NODE_BUDGET,
     max_seconds: float = DEFAULT_TIME_BUDGET,
-    rules: Sequence[ArcRule] | None = None,
 ) -> CalibrationResult:
     """Find the arc rule (and s_0 corner) that realizes the intended
     behavior for every k <= k_max: a unique solution that spans all
@@ -300,18 +298,14 @@ def calibrate_arc_rule(
     Placements are tried in order, the default corner first; within a
     placement every rule is checked and the passing one is returned.
     Raises CalibrationError with the full per-candidate violation report
-    when nothing passes.  `rules` substitutes a custom candidate list.
+    when nothing passes.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    if rules is None:
-        rules = candidate_arc_rules()
-    if not rules:
-        raise ValueError("no candidate rules to calibrate")
     all_reports: list[CandidateReport] = []
     for placement in S0_PLACEMENTS:
         passing: list[ArcRule] = []
-        for rule in rules:
+        for rule in candidate_arc_rules():
             violations: list[str] = []
             for k in range(1, k_max + 1):
                 violations.extend(

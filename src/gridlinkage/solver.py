@@ -3,7 +3,7 @@
 An instance is a graph plus an ordered list of terminal pairs; a solution
 links every pair by a path, pairwise vertex-disjoint.  solve() runs a
 canonical backtracking search (pairs in input order, neighbors in
-ascending id order) whose pruning never removes solutions, so decision,
+ascending id order) whose prunes never remove solutions, so decision,
 capped counting and full enumeration are all exact.  brute_force_oracle()
 re-derives the same answers by unpruned enumeration and exists to keep the
 search honest in tests.
@@ -222,7 +222,6 @@ def solve(
     require_spanning: bool = False,
     max_nodes: int = DEFAULT_NODE_BUDGET,
     max_seconds: float = DEFAULT_TIME_BUDGET,
-    pruning: bool = True,
     blocked: Iterable[int] = (),
     order: str = ORDER_ASCENDING,
     pair_order: str = PAIR_ORDER_INPUT,
@@ -232,9 +231,9 @@ def solve(
     mode is one of "decide" (stop at the first solution), "count_up_to"
     (stop once cap solutions are found) and "enumerate_all".  Vertices in
     blocked are removed from play, which is equivalent to deleting them;
-    terminals cannot be blocked.  Pruning is sound, so all modes return
-    exactly what the unpruned search would; pruning=False disables it for
-    cross-checking.  Solutions come back in canonical order.
+    terminals cannot be blocked.  The prunes are sound, so all modes
+    return exactly what an unpruned search would.  Solutions come back in
+    canonical order.
 
     order picks the neighbor exploration order: "ascending" (canonical
     default) or "min-degree", a most-constrained-first heuristic that can
@@ -496,8 +495,7 @@ def solve(
                 if nodes % 4096 == 0 and time.monotonic() > deadline:
                     raise _BudgetExhausted
                 t = search_pairs[idx][1]
-                if pruning:
-                    labels = feasible(idx, head, free, labels, stale)
+                labels = feasible(idx, head, free, labels, stale)
                 if labels is None:
                     stack.append([idx, free, t, 0, None])
                 else:
@@ -600,7 +598,7 @@ def solve(
 
 
 def brute_force_oracle(instance: Instance, require_spanning: bool = False) -> SolveOutcome:
-    """Enumerate all solutions with no pruning whatsoever.
+    """Enumerate all solutions with no prunes whatsoever.
 
     Textbook nested path enumeration over adjacency lists and Python
     sets; exponential and intended only for small test instances.  The

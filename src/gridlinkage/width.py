@@ -133,25 +133,6 @@ def _degeneracy(adj: list[int], comp: int, deadline: float) -> int:
     return best
 
 
-def _max_clique(adj: list[int], comp: int) -> int:
-    best = 0
-
-    def grow(current: int, allowed: int) -> None:
-        nonlocal best
-        if not allowed:
-            best = max(best, current.bit_count())
-            return
-        if current.bit_count() + allowed.bit_count() <= best:
-            return
-        pivot = max(iter_bits(allowed), key=lambda u: (adj[u] & allowed).bit_count())
-        for v in iter_bits(allowed & ~adj[pivot]):
-            grow(current | (1 << v), allowed & adj[v])
-            allowed &= ~(1 << v)
-
-    grow(0, comp)
-    return best
-
-
 def _eliminate(nbrs: list[int], v: int) -> list[int]:
     # Residual neighbour masks once v is eliminated: v's neighbours
     # become a clique and lose v, every other mask stays as it is.  This
@@ -391,8 +372,8 @@ def _deepen(
     decide: Callable[[list[int], int, int, _Budget, set[int]], list[int] | None],
 ) -> WidthResult:
     # Per component: upper() gives a greedy (width, order), then decide()
-    # tries each width from the degeneracy/clique lower bound up; the
-    # first order found is optimal.  A blown budget keeps the best so far.
+    # tries each width from the degeneracy lower bound up; the first
+    # order found is optimal.  A blown budget keeps the best so far.
     n = graph.vertex_count
     if n == 0:
         raise ValueError("width of the empty graph is not defined here")
@@ -405,7 +386,8 @@ def _deepen(
     try:
         for i, comp in enumerate(comps):
             ub, _ = per_comp[i]
-            lb = max(_degeneracy(adj, comp, budget.deadline), _max_clique(adj, comp) - 1)
+            # No clique bound: omega - 1 <= degeneracy (Bodlaender-Koster).
+            lb = _degeneracy(adj, comp, budget.deadline)
             for w in range(lb, ub):
                 order = decide(adj, comp, w, budget, set())
                 if order is not None:
@@ -426,7 +408,7 @@ def treewidth_exact(
 ) -> WidthResult:
     """Exact treewidth with an optimal elimination order as certificate.
 
-    Iterative deepening between a degeneracy/clique lower bound and a
+    Iterative deepening between the degeneracy lower bound and a
     greedy min-fill upper bound, splitting on connected components and
     memoizing refuted subsets per width.  Budget exhaustion returns the
     best upper bound found, flagged exact=False.
@@ -487,7 +469,12 @@ def _pw_decide(
         del order[len(order) - absorbed:]
         return None
 
-    return search(comp, 0, comp, [])
+    try:
+        return search(comp, 0, comp, [])
+    finally:
+        # search reaches itself through its closure.  Breaking that cycle
+        # frees the memo set on return, not at the next cyclic GC pass.
+        del search
 
 
 def pathwidth_exact(

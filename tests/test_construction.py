@@ -24,6 +24,7 @@ from gridlinkage import (
     serialize_instance,
     verify_instance,
 )
+from gridlinkage import construction
 from gridlinkage.construction import linkage_checks
 
 
@@ -152,17 +153,14 @@ class TestCalibration:
         assert result.s0_placement == CALIBRATED_S0_PLACEMENT
         assert any(r.passed for r in result.reports)
 
-    def test_losing_candidates_fail_alone(self):
+    def test_losing_candidates_fail_alone(self, monkeypatch):
         bad = rule_by_identifier("pow2-minus-1")
+        monkeypatch.setattr(construction, "candidate_arc_rules", lambda: (bad,))
         with pytest.raises(CalibrationError) as exc:
-            calibrate_arc_rule(1, rules=[bad])
+            calibrate_arc_rule(1)
         # one report per placement tried, each carrying violations
         assert len(exc.value.reports) == 3
         assert all(r.violations for r in exc.value.reports)
-
-    def test_empty_candidate_set(self):
-        with pytest.raises(ValueError):
-            calibrate_arc_rule(1, rules=[])
 
     def test_bad_k_max(self):
         with pytest.raises(ValueError):

@@ -178,8 +178,8 @@ class TestKnobNeutrality:
         graph, layout = grid3
         inst = Instance.make(graph, pairs, layout)
         base = solve(inst, mode="enumerate_all", require_spanning=True)
-        blunt = solve(inst, mode="enumerate_all", require_spanning=True, pruning=False)
-        assert {s.paths for s in blunt.solutions} == {s.paths for s in base.solutions}
+        blunt = brute_force_oracle(inst, require_spanning=True)
+        assert [s.paths for s in blunt.solutions] == [s.paths for s in base.solutions]
 
     def test_bad_knob_values(self, two_pair):
         with pytest.raises(ValueError):
@@ -254,9 +254,10 @@ class TestBudgets:
 
     def test_abort_on_time(self):
         # the clock is polled every few thousand nodes, so the search
-        # must be large enough to reach a poll; pruning off gets it there
-        inst = build_instance(2, s0_placement=S0_BOTTOM_LEFT)
-        out = solve(inst, mode="enumerate_all", pruning=False, max_seconds=0.0)
+        # must be large enough to reach a poll: k = 3 enumeration runs
+        # well past 4096 nodes
+        inst = build_instance(3, s0_placement=S0_BOTTOM_LEFT)
+        out = solve(inst, mode="enumerate_all", max_seconds=0.0)
         assert out.status == STATUS_ABORTED
 
     def test_found_solutions_kept_on_abort(self, two_pair):

@@ -1,5 +1,6 @@
 """Exact treewidth and pathwidth with verifiable certificates."""
 
+import gc
 import random
 import time
 
@@ -203,6 +204,46 @@ class TestBudgets:
         # The unfinished sweep is dropped: the ascending layout stands.
         assert result.certificate == tuple(range(200))
         assert width_of_layout(graph, result.certificate) == result.value
+
+    @pytest.mark.parametrize("search, recheck", [
+        (treewidth_exact, width_of_elimination_order),
+        (pathwidth_exact, width_of_layout),
+    ])
+    def test_dense_graph_keeps_the_deadline(self, search, recheck):
+        # G(160, 0.7): every lower bound step must read the clock, or a
+        # 0.3 s budget overruns by tens of seconds.
+        rng = random.Random(1)
+        graph = Graph.from_edges(160, [
+            (u, v) for u in range(160) for v in range(u + 1, 160) if rng.random() < 0.7
+        ])
+        start = time.monotonic()
+        result = search(graph, max_seconds=0.3)
+        assert time.monotonic() - start < 1.5
+        assert not result.exact
+        assert recheck(graph, result.certificate) == result.value
+
+    def test_large_clique_does_not_recurse(self):
+        # K_1100: no step of either search may recurse once per vertex.
+        n = 1100
+        graph = complete_graph(n)
+        for search in (treewidth_exact, pathwidth_exact):
+            result = search(graph, max_seconds=0.2)
+            assert not result.exact
+            assert result.value == n - 1
+
+    @pytest.mark.parametrize("search", [treewidth_exact, pathwidth_exact])
+    @pytest.mark.parametrize("max_nodes", [50, 10**6])
+    def test_searches_leave_no_cyclic_garbage(self, search, max_nodes):
+        # A memo kept alive by a reference cycle lingers until the next
+        # cyclic GC pass; with the collector off, none may be left.
+        graph, _ = make_grid(4, 4)
+        gc.collect()
+        gc.disable()
+        try:
+            search(graph, max_nodes=max_nodes)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestIncrementalMoves:
