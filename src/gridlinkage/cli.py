@@ -52,7 +52,7 @@ from .width import (
     DEFAULT_WIDTH_TIME_BUDGET,
     pathwidth_exact,
     treewidth_exact,
-    widths_within_budget,
+    width_checks,
 )
 
 EXIT_OK = 0
@@ -166,7 +166,6 @@ def _cmd_width(args: argparse.Namespace) -> int:
         k = instance.construction_k()
     else:
         graph = read_edge_list(text)
-    bound = None if k is None else 2 ** k + 1
 
     searches = []
     if args.tw or not (args.tw or args.pw):
@@ -174,21 +173,17 @@ def _cmd_width(args: argparse.Namespace) -> int:
     if args.pw or not (args.tw or args.pw):
         searches.append(pathwidth_exact)
 
-    verdicts = []
-    for result in widths_within_budget(
-        graph, searches, args.budget_nodes, args.budget_seconds
-    ):
+    bound, checks = width_checks(
+        graph, k, searches, args.budget_nodes, args.budget_seconds
+    )
+    for result, verdict in checks:
         name = result.kind
         exact = "exact" if result.exact else "upper bound (budget exhausted)"
         print(f"{name}: {result.value} ({exact})")
         print(f"{name} certificate: {' '.join(str(v) for v in result.certificate)}")
-        verdict = "PASS" if result.exact else "INDETERMINATE"
         if bound is not None:
-            if result.exact and result.value < bound:
-                verdict = "FAIL"
             print(f"{name} >= {bound}: {verdict}")
-        verdicts.append(verdict)
-    code = _verdict_exit(verdicts)
+    code = _verdict_exit([verdict for _, verdict in checks])
     if bound is not None and code == EXIT_OK:
         print(f"width bound met with {k + 1} spanning paths (grid side {bound})")
     return code

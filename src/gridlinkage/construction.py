@@ -6,10 +6,13 @@ terminals, producing a family whose intended solution is unique, covers
 every vertex, and crosses the grid interior a controlled number of
 times (path i crossing 2^(i-1) times, 3, 7, ... in total).
 
-The exact arc count per terminal and the corner for s_0 are not forced
-by first principles, so both are kept as enumerable candidates and
-pinned by calibrate_arc_rule(), which runs linkage_checks() on the
-small instances and keeps the unique candidate passing them all.  The
+linkage_checks() is the package's one uniqueness check: a single
+count_up_to search (cap 2) decides uniqueness, spanning and the
+crossing profile together.  The exact arc count per terminal and the
+corner for s_0 are not forced by first principles, so both are kept as
+enumerable candidates and pinned by calibrate_arc_rule(), which runs
+linkage_checks() on the small instances and keeps the unique candidate
+passing them all.  The
 result of that calibration is frozen in CALIBRATED_ARC_RULE_ID and
 CALIBRATED_S0_PLACEMENT; the test suite re-derives it from scratch.
 """
@@ -298,19 +301,22 @@ def calibrate_arc_rule(
     Placements are tried in order, the default corner first; within a
     placement every rule is checked and the passing one is returned.
     Raises CalibrationError with the full per-candidate violation report
-    when nothing passes.
+    when nothing passes.  max_nodes bounds each search; max_seconds is
+    one deadline for the whole call, so each check gets what the ones
+    before it left.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    deadline = time.monotonic() + max_seconds
     all_reports: list[CandidateReport] = []
     for placement in S0_PLACEMENTS:
         passing: list[ArcRule] = []
         for rule in candidate_arc_rules():
             violations: list[str] = []
             for k in range(1, k_max + 1):
-                violations.extend(
-                    _check_candidate(rule, placement, k, max_nodes, max_seconds)
-                )
+                violations.extend(_check_candidate(
+                    rule, placement, k, max_nodes, deadline - time.monotonic()
+                ))
             all_reports.append(
                 CandidateReport(rule.identifier, placement, tuple(violations))
             )

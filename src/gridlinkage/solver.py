@@ -647,46 +647,21 @@ def brute_force_oracle(instance: Instance, require_spanning: bool = False) -> So
         for path in all_paths(s, t, used):
             recurse(idx + 1, used | set(path), chosen + [path])
 
-    recurse(0, set(), [])
+    try:
+        recurse(0, set(), [])
+    finally:
+        # recurse reaches itself through its closure.  Breaking that cycle
+        # frees both closures and what they hold on return, not at the
+        # next cyclic GC pass.
+        del recurse
     found.sort()
     solutions = tuple(Linkage(paths, graph) for paths in found)
     status = STATUS_SOLVABLE if solutions else STATUS_UNSOLVABLE
     return SolveOutcome(status, solutions, nodes, time.monotonic() - start)
 
 
-def is_unique_solution(
-    instance: Instance,
-    require_spanning: bool = False,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
-    max_seconds: float = DEFAULT_TIME_BUDGET,
-) -> bool:
-    """True iff exactly one solution exists; raises SearchAborted on budget."""
-    outcome = solve(
-        instance,
-        mode="count_up_to",
-        cap=2,
-        require_spanning=require_spanning,
-        max_nodes=max_nodes,
-        max_seconds=max_seconds,
-    )
-    if outcome.status == STATUS_ABORTED:
-        raise SearchAborted("uniqueness undetermined within budget")
-    return len(outcome.solutions) == 1
-
-
 def spans_all_vertices(linkage: Linkage) -> bool:
     return len(linkage.vertices()) == linkage.host.vertex_count
-
-
-def pattern_of(linkage: Linkage) -> frozenset[int]:
-    """Endpoint set of the linkage; every component needs >= 2 vertices."""
-    endpoints: set[int] = set()
-    for path in linkage.paths:
-        if len(path) < 2:
-            raise ValueError("linkage components must have at least two vertices")
-        endpoints.add(path[0])
-        endpoints.add(path[-1])
-    return frozenset(endpoints)
 
 
 def pairing_of(linkage: Linkage) -> frozenset[tuple[int, int]]:
@@ -752,73 +727,37 @@ def irrelevant_vertices(
     )
 
 
-def _perfect_matchings(vertices: tuple[int, ...]):
-    if not vertices:
-        yield ()
-        return
-    first, rest = vertices[0], vertices[1:]
-    for i, partner in enumerate(rest):
-        head = (first, partner)
-        remainder = rest[:i] + rest[i + 1 :]
-        for tail in _perfect_matchings(remainder):
-            yield (head,) + tail
-
-
-PATTERN_PAIRING = "pairing"
-PATTERN_ENDPOINT_SET = "endpoint-set"
-
-
 def is_vital_linkage(
     graph: Graph,
     linkage: Linkage,
-    match: str = PATTERN_PAIRING,
     max_nodes: int = DEFAULT_NODE_BUDGET,
     max_seconds: float = DEFAULT_TIME_BUDGET,
 ) -> bool:
-    """Decide whether a spanning linkage is the only one with its pattern.
+    """Decide whether a spanning linkage is the only spanning linkage
+    with its pairing: the only one whose components join the same
+    endpoint pairs.  This is the sense in which a unique spanning
+    solution is vital, and the one the width bounds rest on.
 
-    Same-pattern spanning linkages are enumerated exhaustively as
-    spanning disjoint-paths instances.  Two pattern notions are
-    supported.  "pairing" (the default) matches linkages whose
-    components join the same endpoint pairs; this is the notion under
-    which a unique spanning solution is vital, and the one the width
-    bounds rest on.  "endpoint-set" matches on the bare set of degree-1
-    vertices and therefore enumerates every perfect matching of it; it
-    is strictly harder to satisfy, and the grid instances here admit
-    re-pairings, so their solutions are not vital in that sense.
-
-    Raises SearchAborted if any enumeration blows its budget, and
-    ValueError if linkage is not a spanning linkage of graph.
+    Same-pairing spanning linkages are enumerated exhaustively by one
+    spanning solve, which max_nodes and max_seconds bound.  Raises
+    SearchAborted if it blows its budget, and ValueError if linkage is
+    not a spanning linkage of graph.
     """
     check_linkage(
         Instance(graph, tuple((p[0], p[-1]) for p in linkage.paths)),
         linkage.paths,
         require_spanning=True,
     )
-    if match == PATTERN_PAIRING:
-        matchings = [tuple(sorted(pairing_of(linkage)))]
-    elif match == PATTERN_ENDPOINT_SET:
-        matchings = list(_perfect_matchings(tuple(sorted(pattern_of(linkage)))))
-    else:
-        raise ValueError(f"unknown pattern notion {match!r}")
-    own_key = linkage.canonical_key()
-    seen_self = False
-    for matching in matchings:
-        candidate = Instance(graph, tuple(matching))
-        outcome = solve(
-            candidate,
-            mode="enumerate_all",
-            require_spanning=True,
-            max_nodes=max_nodes,
-            max_seconds=max_seconds,
-        )
-        if outcome.status == STATUS_ABORTED:
-            raise SearchAborted("same-pattern enumeration exceeded budget")
-        for other in outcome.solutions:
-            if other.canonical_key() == own_key:
-                seen_self = True
-            else:
-                return False
-    if not seen_self:
+    outcome = solve(
+        Instance(graph, tuple(sorted(pairing_of(linkage)))),
+        mode="enumerate_all",
+        require_spanning=True,
+        max_nodes=max_nodes,
+        max_seconds=max_seconds,
+    )
+    if outcome.status == STATUS_ABORTED:
+        raise SearchAborted("same-pairing enumeration exceeded budget")
+    keys = {other.canonical_key() for other in outcome.solutions}
+    if not keys:
         raise AssertionError("input linkage not rediscovered by enumeration")
-    return True
+    return keys == {linkage.canonical_key()}

@@ -17,7 +17,9 @@ re-checkers recompute their width from scratch.
 
 Budgets cap search nodes and wall time.  A blown budget degrades the
 result to a greedy upper bound flagged exact=False, it never guesses.
-Several searches share one budget through widths_within_budget().
+width_checks() runs several searches under one budget and judges each
+against the 2^k + 1 width of the grid a constructed instance is built
+on: PASS, FAIL, or INDETERMINATE for an inexact result.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Callable, Iterable
 
 from .bitsets import adjacency_masks, components, iter_bits
 from .graphs import Graph
-from .solver import Instance
 
 DEFAULT_WIDTH_NODE_BUDGET = 20_000_000
 DEFAULT_WIDTH_TIME_BUDGET = 300.0
@@ -494,61 +495,38 @@ def pathwidth_exact(
     )
 
 
-def widths_within_budget(
+def width_checks(
     graph: Graph,
-    searches: Iterable[Callable[[Graph, int, float], WidthResult]],
+    k: int | None = None,
+    searches: Iterable[Callable[[Graph, int, float], WidthResult]] = (
+        treewidth_exact,
+        pathwidth_exact,
+    ),
     max_nodes: int = DEFAULT_WIDTH_NODE_BUDGET,
     max_seconds: float = DEFAULT_WIDTH_TIME_BUDGET,
-) -> list[WidthResult]:
-    """Run width searches in turn under one budget: each gets the nodes
-    and seconds the ones before it left.  Each result's nodes_explored
-    counts its own search only."""
+) -> tuple[int | None, list[tuple[WidthResult, str]]]:
+    """Run width searches in turn under one budget and judge each result
+    against 2^k + 1, the width of the (2^k+1) x (2^k+1) grid that
+    instance k is built on.
+
+    Returns (bound, [(result, verdict), ...]), bound None when k is.
+    Each search gets the nodes and seconds the ones before it left, and
+    each result's nodes_explored counts its own search only.  verdict
+    is INDETERMINATE when the result is inexact, since an upper bound
+    proves nothing; FAIL when the exact value is below the bound; and
+    PASS otherwise.
+    """
+    bound = None if k is None else 2**k + 1
     deadline = time.monotonic() + max_seconds
-    results = []
+    checks = []
     for search in searches:
         result = search(graph, max_nodes, deadline - time.monotonic())
         max_nodes -= result.nodes_explored
-        results.append(result)
-    return results
-
-
-@dataclass(frozen=True)
-class WidthBoundReport:
-    """Exact widths of a constructed instance against its grid bound.
-
-    satisfied is None when either computation blew its budget, in which
-    case the values are upper bounds and prove nothing.
-    """
-
-    k: int
-    bound: int
-    treewidth: WidthResult
-    pathwidth: WidthResult
-    linkage_components: int
-    satisfied: bool | None
-
-
-def verify_width_lower_bound(
-    instance: Instance,
-    max_nodes: int = DEFAULT_WIDTH_NODE_BUDGET,
-    max_seconds: float = DEFAULT_WIDTH_TIME_BUDGET,
-) -> WidthBoundReport:
-    """Check a built instance's graph is as wide as its grid demands.
-
-    Computes exact treewidth and pathwidth and compares both against
-    2^k + 1, the width of the underlying (2^k+1) x (2^k+1) grid; the
-    report also carries the solution's path count k + 1, the pair of
-    numbers the construction is designed to exhibit together.
-    """
-    k = instance.construction_k()
-    if k is None:
-        raise ValueError("instance carries no construction parameter k")
-    bound = 2 ** k + 1
-    tw, pw = widths_within_budget(
-        instance.graph, (treewidth_exact, pathwidth_exact), max_nodes, max_seconds
-    )
-    if not (tw.exact and pw.exact):
-        satisfied = None
-    else:
-        satisfied = tw.value >= bound and pw.value >= bound
-    return WidthBoundReport(k, bound, tw, pw, k + 1, satisfied)
+        if not result.exact:
+            verdict = "INDETERMINATE"
+        elif bound is not None and result.value < bound:
+            verdict = "FAIL"
+        else:
+            verdict = "PASS"
+        checks.append((result, verdict))
+    return bound, checks

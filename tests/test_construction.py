@@ -162,6 +162,14 @@ class TestCalibration:
         assert len(exc.value.reports) == 3
         assert all(r.violations for r in exc.value.reports)
 
+    def test_one_deadline_for_the_whole_calibration(self):
+        # No k = 3 count search finishes in 0.3 s; the nine candidates
+        # share that deadline instead of taking 0.3 s each.
+        start = time.monotonic()
+        with pytest.raises(CalibrationError):
+            calibrate_arc_rule(3, max_seconds=0.3)
+        assert time.monotonic() - start < 1.0
+
     def test_bad_k_max(self):
         with pytest.raises(ValueError):
             calibrate_arc_rule(0)

@@ -5,6 +5,7 @@ contracts: canonical output order, budget handling, and the vitality
 and irrelevance checks built on top of the solver.
 """
 
+import gc
 import random
 
 import pytest
@@ -13,8 +14,6 @@ from gridlinkage import (
     Graph,
     Instance,
     Linkage,
-    PATTERN_ENDPOINT_SET,
-    PATTERN_PAIRING,
     STATUS_ABORTED,
     STATUS_SOLVABLE,
     STATUS_UNSOLVABLE,
@@ -22,11 +21,9 @@ from gridlinkage import (
     build_instance,
     check_linkage,
     irrelevant_vertices,
-    is_unique_solution,
     is_vital_linkage,
     make_grid,
     pairing_of,
-    pattern_of,
     random_batch,
     solve,
     spans_all_vertices,
@@ -392,31 +389,51 @@ class TestBruteOracle:
         slow = brute_force_oracle(inst, require_spanning=True)
         assert [s.paths for s in fast.solutions] == [s.paths for s in slow.solutions]
 
+    def test_leaves_no_cyclic_garbage(self):
+        # Like the width searches: with the collector off, neither the
+        # oracle's nested closures nor anything solve() builds may be
+        # left for a cyclic GC pass.
+        instances = [build_instance(1), *random_batch(3, 20, 10, 3)]
+        gc.collect()
+        gc.disable()
+        try:
+            for inst in instances:
+                brute_force_oracle(inst)
+                assert gc.collect() == 0
+                solve(inst, mode="enumerate_all")
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def is_unique(instance, require_spanning=False):
+    outcome = solve(instance, mode="count_up_to", cap=2, require_spanning=require_spanning)
+    assert outcome.status != STATUS_ABORTED
+    return len(outcome.solutions) == 1
+
 
 class TestUniqueness:
     def test_seven_not_unique(self, two_pair):
-        assert not is_unique_solution(two_pair)
+        assert not is_unique(two_pair)
 
     def test_unsolvable_not_unique(self, grid3):
         graph, layout = grid3
-        assert not is_unique_solution(Instance.make(graph, [(0, 8), (2, 6)], layout))
+        assert not is_unique(Instance.make(graph, [(0, 8), (2, 6)], layout))
 
     def test_k1_unique_spanning(self):
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
-        assert is_unique_solution(inst, require_spanning=True)
+        assert is_unique(inst, require_spanning=True)
 
 
 class TestPatternAndPairing:
     def test_examples(self):
         c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         link = Linkage(((0, 1), (3, 2)), c4)
-        assert pattern_of(link) == frozenset({0, 1, 2, 3})
         assert pairing_of(link) == frozenset({(0, 1), (2, 3)})
 
     def test_empty_linkage(self, grid3):
         graph, _ = grid3
         link = Linkage((), graph)
-        assert pattern_of(link) == frozenset()
         assert pairing_of(link) == frozenset()
 
 
@@ -424,11 +441,10 @@ class TestVitalLinkage:
     def test_cycle_paths_vital(self):
         # C4 split into two opposite edges: the only spanning linkage
         # with this pairing.  Re-pairing the same endpoints as
-        # (0,3),(1,2) spans too, so the endpoint-set reading says no.
+        # (0,3),(1,2) spans too, but that is another pairing.
         c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         link = Linkage(((0, 1), (3, 2)), c4)
         assert is_vital_linkage(c4, link)
-        assert not is_vital_linkage(c4, link, match=PATTERN_ENDPOINT_SET)
 
     def test_hamiltonian_path_in_k4_not_vital(self):
         k4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -441,30 +457,21 @@ class TestVitalLinkage:
         with pytest.raises(ValueError):
             is_vital_linkage(k4, Linkage(((0, 1),), k4))
 
-    def test_matching_rule_changes_the_answer(self):
-        """The generated 3x3 instance separates the two semantics.
+    def test_rival_with_another_pairing_does_not_count(self):
+        """The generated 3x3 instance's unique solution is vital.
 
-        Its unique solution is vital when rival linkages must reuse the
-        same pairing.  Re-pairing the same four endpoints as (s0,s1) and
-        (t0,t1) admits a different spanning linkage, so the endpoint-set
-        reading says no.
+        Re-pairing its four endpoints as (s0,s1) and (t0,t1) admits a
+        different spanning linkage, but only linkages with the same
+        pairing are rivals.
         """
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
         out = solve(inst, mode="count_up_to", cap=2, require_spanning=True)
         sol = out.solutions[0]
         assert sol.paths == ((0, 1, 2, 8, 7, 6), (3, 4, 5))
-        assert is_vital_linkage(inst.graph, sol, match=PATTERN_PAIRING)
-        assert not is_vital_linkage(inst.graph, sol, match=PATTERN_ENDPOINT_SET)
+        assert is_vital_linkage(inst.graph, sol)
         rival = Linkage(((0, 3), (6, 7, 4, 1, 2, 8, 5)), inst.graph)
         assert spans_all_vertices(rival)
-        assert pattern_of(rival) == pattern_of(sol)
         assert pairing_of(rival) != pairing_of(sol)
-
-    def test_bad_match_value(self):
-        c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        link = Linkage(((0, 1), (3, 2)), c4)
-        with pytest.raises(ValueError):
-            is_vital_linkage(c4, link, match="loose")
 
 
 class TestIrrelevantVertices:

@@ -15,7 +15,7 @@ from gridlinkage import (
     make_grid,
     pathwidth_exact,
     treewidth_exact,
-    verify_width_lower_bound,
+    width_checks,
     width_of_elimination_order,
     width_of_layout,
 )
@@ -28,7 +28,6 @@ from gridlinkage.width import (
     _moves,
     _pw_decide,
     _Budget,
-    widths_within_budget,
 )
 from oracles import brute_pathwidth, brute_treewidth, connected_graphs
 
@@ -330,41 +329,46 @@ class TestIncrementalElimination:
 class TestBoundReport:
     def test_k1(self):
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
-        report = verify_width_lower_bound(inst)
-        assert report.k == 1
-        assert report.bound == 3
-        assert report.treewidth.value == 3 and report.treewidth.exact
-        assert report.pathwidth.value == 3 and report.pathwidth.exact
-        assert report.linkage_components == 2
-        assert report.satisfied is True
+        bound, checks = width_checks(inst.graph, inst.construction_k())
+        assert bound == 3
+        assert [(r.kind, r.value, r.exact, verdict) for r, verdict in checks] == [
+            (KIND_TREEWIDTH, 3, True, "PASS"),
+            (KIND_PATHWIDTH, 3, True, "PASS"),
+        ]
 
     def test_requires_generator_metadata(self):
-        from gridlinkage import Instance
+        # Without k there is no bound: an exact width passes, an
+        # inexact one stays indeterminate, and neither can fail.
+        graph, _ = make_grid(3, 3)
+        bound, checks = width_checks(graph)
+        assert bound is None
+        assert [verdict for _, verdict in checks] == ["PASS", "PASS"]
+        bound, checks = width_checks(graph, max_nodes=1)
+        assert [verdict for _, verdict in checks] == ["INDETERMINATE"] * 2
 
-        graph, layout = make_grid(3, 3)
-        inst = Instance.make(graph, [(0, 8)], layout)
-        with pytest.raises(ValueError):
-            verify_width_lower_bound(inst)
+    def test_below_the_bound_fails(self):
+        graph, _ = make_grid(3, 3)
+        _, checks = width_checks(graph, 2, (treewidth_exact,))
+        assert [(r.value, verdict) for r, verdict in checks] == [(3, "FAIL")]
 
     @pytest.mark.parametrize("k", [None, [1], True, "1", -1])
     def test_rejects_malformed_k(self, k):
+        # construction_k() is where a document's k comes from.
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
         bad = Instance.make(inst.graph, inst.pairs, inst.layout, {**inst.meta_map, "k": k})
         with pytest.raises(ValueError, match="meta k"):
             bad.construction_k()
-        with pytest.raises(ValueError, match="meta k"):
-            verify_width_lower_bound(bad)
 
     def test_indeterminate_under_budget(self):
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
-        report = verify_width_lower_bound(inst, max_nodes=1)
-        assert report.satisfied is None
+        _, checks = width_checks(inst.graph, 1, max_nodes=1)
+        assert [verdict for _, verdict in checks] == ["INDETERMINATE"] * 2
 
     def test_one_time_budget_for_both_searches(self):
         start = time.monotonic()
-        report = verify_width_lower_bound(build_instance(3), max_seconds=1.0)
+        _, checks = width_checks(build_instance(3).graph, 3, max_seconds=1.0)
         assert time.monotonic() - start < 1.5
-        assert report.satisfied is None
+        assert [verdict for _, verdict in checks] == ["INDETERMINATE"] * 2
 
     def test_greedy_bounds_keep_the_deadline(self):
         # The min-fill bound alone takes seconds on k = 5's 1,089
@@ -378,7 +382,7 @@ class TestBoundReport:
 
     def test_one_node_budget_for_both_searches(self):
         graph, _ = make_grid(5, 5)
-        tw, pw = widths_within_budget(graph, (treewidth_exact, pathwidth_exact), 100)
+        _, ((tw, _), (pw, _)) = width_checks(graph, max_nodes=100)
         # The search that runs out counts the node it refused, so the
         # pathwidth search starts one node over and stops at its first.
         assert (tw.nodes_explored, pw.nodes_explored) == (101, 1)
