@@ -7,14 +7,17 @@ every vertex, and crosses the grid interior a controlled number of
 times (path i crossing 2^(i-1) times, 3, 7, ... in total).
 
 linkage_checks() is the package's one uniqueness check: a single
-count_up_to search (cap 2) decides uniqueness, spanning and the
-crossing profile together.  The exact arc count per terminal and the
-corner for s_0 are not forced by first principles, so both are kept as
-enumerable candidates and pinned by calibrate_arc_rule(), which runs
-linkage_checks() on the small instances and keeps the unique candidate
-passing them all.  The
-result of that calibration is frozen in CALIBRATED_ARC_RULE_ID and
-CALIBRATED_S0_PLACEMENT; the test suite re-derives it from scratch.
+exact count of the linkages (frontier.count_linkages) decides
+uniqueness, and its witness linkage the spanning and crossing rows.
+verify_instance() adds the no-irrelevant-vertex row from the same
+count, which also finds the vertices that every linkage uses.  The
+exact arc count per terminal and the corner for s_0 are not forced by
+first principles, so both are kept as enumerable candidates and pinned
+by calibrate_arc_rule(), which runs linkage_checks() on the small
+instances and keeps the unique candidate passing them all.  The result
+of that calibration is frozen in CALIBRATED_ARC_RULE_ID and
+CALIBRATED_S0_PLACEMENT; the test suite re-derives it from scratch,
+for k <= 3.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .frontier import LinkageCount, count_linkages
 from .graphs import (
     Graph,
     GridLayout,
@@ -35,8 +39,6 @@ from .solver import (
     DEFAULT_TIME_BUDGET,
     Instance,
     STATUS_ABORTED,
-    irrelevant_vertices,
-    solve,
     spans_all_vertices,
 )
 
@@ -74,7 +76,7 @@ def candidate_arc_rules() -> tuple[ArcRule, ...]:
     )
 
 
-# Pinned by calibrate_arc_rule(2); regenerated and asserted by the test
+# Pinned by calibrate_arc_rule(3); regenerated and asserted by the test
 # suite, and used as defaults by the command line front end.
 CALIBRATED_ARC_RULE_ID = "pow2"
 CALIBRATED_S0_PLACEMENT = S0_BOTTOM_LEFT
@@ -198,39 +200,31 @@ class CalibrationError(RuntimeError):
         self.reports = reports
 
 
-def linkage_checks(
-    instance: Instance,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
-    max_seconds: float = DEFAULT_TIME_BUDGET,
-) -> list[tuple[str, str, str]]:
-    """(name, verdict, detail) rows for uniqueness, spanning, crossing
-    profile and crossing total, all decided from one search.
-
-    verdict is PASS, FAIL or INDETERMINATE (the budget ran out).  Raises
-    ValueError when the instance has no meta k or no grid layout.
-    """
+def _linkage_rows(
+    instance: Instance, max_nodes: int, max_seconds: float
+) -> tuple[list[tuple[str, str, str]], LinkageCount]:
+    """linkage_checks() rows, and the count they were read from."""
     k = instance.construction_k()
     if k is None:
         raise ValueError("instance has no construction parameter k to verify against")
     if instance.layout is None:
         raise ValueError("instance has no grid layout to count crossings against")
-    outcome = solve(
-        instance, mode="count_up_to", cap=2, max_nodes=max_nodes, max_seconds=max_seconds
-    )
-    if outcome.status == STATUS_ABORTED:
-        return [("uniqueness", "INDETERMINATE", "search budget exhausted")] + [
+    result = count_linkages(instance, max_nodes=max_nodes, max_seconds=max_seconds)
+    if result.status == STATUS_ABORTED:
+        return [("uniqueness", "INDETERMINATE",
+                 f"count exhausted its {result.limit} budget ({result.nodes} nodes, "
+                 f"peak {result.peak_states} states)")] + [
             (name, "INDETERMINATE", "no verified solution")
             for name in ("spanning", "crossing profile", "crossing total")
-        ]
-    count = len(outcome.solutions)
-    checks = [("uniqueness", "PASS" if count == 1 else "FAIL",
-               f"solutions found: {count} (cap 2)")]
-    if count == 0:
+        ], result
+    checks = [("uniqueness", "PASS" if result.count == 1 else "FAIL",
+               f"linkages: {result.count} (exact count)")]
+    if result.witness is None:
         return checks + [
             (name, "FAIL", "no solution")
             for name in ("spanning", "crossing profile", "crossing total")
-        ]
-    link = outcome.solutions[0]
+        ], result
+    link = result.witness
     # Instance rejects inner terminals under a layout, so every path's
     # crossing count is defined.
     report = crossing_report(link.paths, instance.layout)
@@ -243,7 +237,24 @@ def linkage_checks(
          f"got {list(report.per_path)}, want {list(want_profile)}"),
         ("crossing total", "PASS" if report.total == want_total else "FAIL",
          f"got {report.total}, want {want_total}"),
-    ]
+    ], result
+
+
+def linkage_checks(
+    instance: Instance,
+    max_nodes: int = DEFAULT_NODE_BUDGET,
+    max_seconds: float = DEFAULT_TIME_BUDGET,
+) -> list[tuple[str, str, str]]:
+    """(name, verdict, detail) rows for uniqueness, spanning, crossing
+    profile and crossing total, all decided from one exact count.
+
+    The count is frontier.count_linkages(); its witness is the linkage
+    the spanning and crossing rows inspect, the only one when the count
+    is 1.  verdict is PASS, FAIL or INDETERMINATE (the count ran out of
+    nodes, states or time; max_nodes bounds the states it expands).
+    Raises ValueError when the instance has no meta k or no grid layout.
+    """
+    return _linkage_rows(instance, max_nodes, max_seconds)[0]
 
 
 def verify_instance(
@@ -251,23 +262,26 @@ def verify_instance(
     max_nodes: int = DEFAULT_NODE_BUDGET,
     max_seconds: float = DEFAULT_TIME_BUDGET,
 ) -> list[tuple[str, str, str]]:
-    """linkage_checks() rows plus a "no irrelevant vertices" row from
-    irrelevant_vertices(): the full battery.
+    """linkage_checks() rows plus a "no irrelevant vertices" row: the
+    full battery.
 
-    max_nodes bounds each search; max_seconds is one deadline for the
-    whole battery, so the sweep gets what the count search left.
+    A non-terminal v is irrelevant when deleting it leaves solvability
+    as it was.  The exact count decides that without deleting anything:
+    at count 0 every non-terminal is irrelevant, and otherwise exactly
+    the non-terminals that some linkage avoids are (a linkage of G - v
+    is a linkage of G that avoids v).  When the count is aborted the
+    row is INDETERMINATE.  max_nodes and max_seconds bound the count.
     """
-    deadline = time.monotonic() + max_seconds
-    checks = linkage_checks(instance, max_nodes, max_seconds)
-    irr = irrelevant_vertices(
-        instance, max_nodes=max_nodes, max_seconds=deadline - time.monotonic()
-    )
-    if irr.indeterminate:
-        checks.append(("no irrelevant vertices", "INDETERMINATE",
-                       f"{len(irr.indeterminate)} deletions exhausted their budget"))
-    else:
-        checks.append(("no irrelevant vertices", "FAIL" if irr.irrelevant else "PASS",
-                       f"irrelevant: {sorted(irr.irrelevant)}"))
+    checks, result = _linkage_rows(instance, max_nodes, max_seconds)
+    if result.status == STATUS_ABORTED:
+        checks.append(("no irrelevant vertices", "INDETERMINATE", "no exact count"))
+        return checks
+    terminals = {v for pair in instance.pairs for v in pair}
+    used = result.used_by_all or frozenset()
+    irrelevant = [v for v in range(instance.graph.vertex_count)
+                  if v not in terminals and v not in used]
+    checks.append(("no irrelevant vertices", "FAIL" if irrelevant else "PASS",
+                   f"irrelevant: {irrelevant}"))
     return checks
 
 

@@ -18,10 +18,12 @@ from gridlinkage import (
     candidate_arc_rules,
     expected_crossing_profile,
     instance_digest,
+    irrelevant_vertices,
     is_planar_certificate,
     make_grid,
     rule_by_identifier,
     serialize_instance,
+    subdivide_edges,
     verify_instance,
 )
 from gridlinkage import construction
@@ -153,6 +155,11 @@ class TestCalibration:
         assert result.s0_placement == CALIBRATED_S0_PLACEMENT
         assert any(r.passed for r in result.reports)
 
+    def test_k3_calibration_passes(self):
+        result = calibrate_arc_rule(3)
+        assert (result.rule.identifier, result.s0_placement) == ("pow2", S0_BOTTOM_LEFT)
+        assert [r.passed for r in result.reports].count(True) == 1
+
     def test_losing_candidates_fail_alone(self, monkeypatch):
         bad = rule_by_identifier("pow2-minus-1")
         monkeypatch.setattr(construction, "candidate_arc_rules", lambda: (bad,))
@@ -163,11 +170,11 @@ class TestCalibration:
         assert all(r.violations for r in exc.value.reports)
 
     def test_one_deadline_for_the_whole_calibration(self):
-        # No k = 3 count search finishes in 0.3 s; the nine candidates
-        # share that deadline instead of taking 0.3 s each.
+        # No k = 4 count finishes in 0.3 s; the nine candidates share
+        # that deadline instead of taking 0.3 s each.
         start = time.monotonic()
         with pytest.raises(CalibrationError):
-            calibrate_arc_rule(3, max_seconds=0.3)
+            calibrate_arc_rule(4, max_seconds=0.3)
         assert time.monotonic() - start < 1.0
 
     def test_bad_k_max(self):
@@ -183,21 +190,27 @@ class TestCalibration:
 
 class TestCheckBattery:
     def test_calibrated_instance_passes_every_check(self):
-        rows = verify_instance(build_instance(2, s0_placement=S0_BOTTOM_LEFT))
-        assert [name for name, _, _ in rows] == [
-            "uniqueness", "spanning", "crossing profile", "crossing total",
-            "no irrelevant vertices",
-        ]
-        assert {verdict for _, verdict, _ in rows} == {"PASS"}
+        for k in (2, 3):
+            start = time.monotonic()
+            rows = verify_instance(build_instance(k, s0_placement=S0_BOTTOM_LEFT))
+            assert time.monotonic() - start < 1.0
+            assert [name for name, _, _ in rows] == [
+                "uniqueness", "spanning", "crossing profile", "crossing total",
+                "no irrelevant vertices",
+            ]
+            assert {verdict for _, verdict, _ in rows} == {"PASS"}
+            profile = list(expected_crossing_profile(k))
+            assert ("crossing profile", "PASS", f"got {profile}, want {profile}") in rows
 
     def test_calibration_reports_the_failing_rows(self):
         report = calibrate_arc_rule(1).reports[1]
         assert (report.rule_id, report.s0_placement) == ("pow2", S0_TOP_RIGHT)
+        # The rows other than uniqueness inspect the count's witness,
+        # one of the four linkages; it crosses as intended but misses
+        # three vertices.
         assert report.violations == (
-            "k=1: uniqueness: solutions found: 2 (cap 2)",
-            "k=1: spanning: covers 8/9 vertices",
-            "k=1: crossing profile: got [0, 0], want [0, 1]",
-            "k=1: crossing total: got 0, want 1",
+            "k=1: uniqueness: linkages: 4 (exact count)",
+            "k=1: spanning: covers 6/9 vertices",
         )
 
     def test_exhausted_budget_is_indeterminate(self):
@@ -205,13 +218,24 @@ class TestCheckBattery:
         assert [verdict for _, verdict, _ in rows] == ["INDETERMINATE"] * 4
 
     def test_one_deadline_for_the_whole_battery(self):
-        # The k = 3 count search cannot finish in a second; the sweep
-        # then gets what is left of the same second, not a second own.
-        instance = build_instance(3)
+        # The k = 4 count cannot finish in a second; every row, the
+        # irrelevant-vertex row too, then reads INDETERMINATE at once.
+        instance = build_instance(4)
         start = time.monotonic()
         rows = verify_instance(instance, max_seconds=1.0)
         assert time.monotonic() - start < 1.5
         assert [verdict for _, verdict, _ in rows] == ["INDETERMINATE"] * 5
+
+    def test_vertices_off_the_lattice_are_counted(self):
+        # Subdivision vertices have no cell; the count takes them last.
+        inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
+        graph, layout = subdivide_edges(inst.graph, inst.layout, {(4, 5): 2, (1, 4): 1})
+        sub = Instance.make(graph, inst.pairs, layout, inst.meta_map)
+        rows = verify_instance(sub)
+        assert rows[:2] == [("uniqueness", "PASS", "linkages: 1 (exact count)"),
+                            ("spanning", "FAIL", "covers 11/12 vertices")]
+        assert rows[-1] == ("no irrelevant vertices", "FAIL",
+                            f"irrelevant: {sorted(irrelevant_vertices(sub).irrelevant)}")
 
     def test_requires_k_and_layout(self):
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)

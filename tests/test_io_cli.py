@@ -286,6 +286,19 @@ class TestCli:
         text = capsys.readouterr().out
         assert "PASS" in text and "FAIL" not in text
 
+    @pytest.mark.parametrize("k,budget,code", [(3, "20", EXIT_OK), (4, "2", EXIT_ABORTED)])
+    def test_verify_larger_instances(self, k, budget, code, tmp_path, capsys):
+        # k = 3 is decided in full; k = 4 runs out of time and says so.
+        path = tmp_path / f"k{k}.json"
+        assert main(["generate", "-k", str(k), "--out", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        start = time.monotonic()
+        assert main(["verify", str(path), "--budget-seconds", budget]) == code
+        assert time.monotonic() - start < float(budget) + 1.5
+        rows = capsys.readouterr().out.splitlines()
+        verdict = "PASS" if code == EXIT_OK else "INDETERMINATE"
+        assert len(rows) == 5 and all(row.startswith(verdict) for row in rows)
+
     def test_verify_catches_tampering(self, instance_file, tmp_path, capsys):
         inst = parse_instance(instance_file.read_text())
         # drop the border arc; the instance loses its unique solution
