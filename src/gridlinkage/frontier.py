@@ -1,10 +1,12 @@
 """Exact linkage counting by a frontier dynamic programme.
 
 count_linkages() counts every linkage of an instance, the edge sets in
-which each pair is joined by a path and the paths share no vertex.  It
-is a SIMPATH-style frontier search (Knuth, TAOCP 7.1.4; Kawahara et al.,
-"Frontier-based search for enumerating all constrained subgraphs with
-compressed representation", 2017).  Vertices enter one at a time, and
+which each pair is joined by a path and the paths share no vertex.
+Blocked vertices count as deleted, and with require_spanning a linkage
+must also use every vertex that is not blocked.  It is a SIMPATH-style
+frontier search (Knuth, TAOCP 7.1.4; Kawahara et al., "Frontier-based
+search for enumerating all constrained subgraphs with compressed
+representation", 2017).  Vertices enter one at a time, and
 each edge is decided, taken or left out, when its later endpoint
 enters.  A vertex leaves the frontier after its last edge is
 decided.  A state records, for each frontier vertex, one of:
@@ -19,12 +21,16 @@ decided.  A state records, for each frontier vertex, one of:
 Taking an edge is refused when it would touch a done vertex, close a
 cycle (join an end to its own mate) or join fragments of two different
 pairs.  A vertex leaves only as done, or with degree 0 when it is not
-a terminal.  Partial edge sets that reach the same state have the same
-completions, so states merge and carry a count; the count of the one
-state left at the end is the number of linkages.  Each state also keeps
-the edges of the first partial set that reached it and the vertices
-that every partial set reaching it uses, so the answer comes with one
-witness linkage and the vertices that all linkages share.
+a terminal and the linkage need not span; a blocked vertex never enters,
+since none of its edges is scheduled.  Partial edge sets that reach the
+same state have the same completions, so states merge and carry a count;
+the count of the one state left at the end is the number of linkages.
+Each state also keeps the edges of the first partial set that reached
+it, the vertices that every partial set reaching it uses (merged by
+AND) and the edges that some partial set reaching it uses (merged by
+OR).  So the answer comes with one witness linkage, the vertices that
+all linkages share and the edges that at least one linkage uses; solve()
+searches only the last.
 
 The entry order sets the frontier's width and so the number of states.
 With a grid layout vertices enter column by column, which keeps the
@@ -37,6 +43,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterable
+
+from .bitsets import iter_bits
+from .graphs import Edge
 from .solver import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_BUDGET,
@@ -45,13 +55,15 @@ from .solver import (
     STATUS_UNSOLVABLE,
     Instance,
     Linkage,
+    check_blocked,
 )
 
 # Live states allowed in a step's output; past it the count is aborted,
 # so memory stays bounded whatever the budgets say.  A state costs about
 # 0.5 KB (tuple, dict entry, count, witness), and a step holds its input
 # and its output, so a run stays near 100 MB.  The calibrated k = 3
-# instance peaks at a few hundred states.
+# instance peaks at a few hundred states; the k = 4 one reaches the cap,
+# which solve() then meets before it searches on every edge.
 MAX_STATES = 100_000
 
 # The slot values of a state; a value below DONE is a pair label
@@ -68,15 +80,18 @@ class LinkageCount:
     or STATUS_ABORTED, in which case count and witness are None and
     limit names the budget that ran out ("nodes", "states" or
     "seconds").  used_by_all holds the vertices every linkage uses; it
-    is None unless the count is at least 1.  nodes is the number of
-    state expansions, peak_states the largest number of live states a
-    step produced.
+    is None unless the count is at least 1.  used_by_some holds the
+    edges at least one linkage uses, each (u, v) with u < v; it is empty
+    when the count is 0 and None when the run aborted.  nodes is the
+    number of state expansions, peak_states the largest number of live
+    states a step produced.
     """
 
     status: str
     count: int | None
     witness: Linkage | None
     used_by_all: frozenset[int] | None
+    used_by_some: frozenset[Edge] | None
     nodes: int
     peak_states: int
     limit: str | None = None
@@ -88,11 +103,11 @@ class _Abort(Exception):
         self.limit = limit
 
 
-# One edge step: the edge (u, v), its two vertices as a bitmask, the
-# slots of u and v, their labels (the pair label of a terminal, _FREE
-# for any other vertex) and the vertices whose last edge it is, as
-# (slot, may leave with degree 0).
-_Step = tuple[tuple[int, int], int, int, int, int, int, tuple[tuple[int, bool], ...]]
+# One edge step: the edge (u, v) with u < v, the step's own bit, its
+# two vertices as a bitmask, the slots of u and v, their labels (the
+# pair label of a terminal, _FREE for any other vertex) and the vertices
+# whose last edge it is, as (slot, may leave with degree 0).
+_Step = tuple[tuple[int, int], int, int, int, int, int, int, tuple[tuple[int, bool], ...]]
 
 
 def _order(instance: Instance) -> list[int]:
@@ -106,12 +121,15 @@ def _order(instance: Instance) -> list[int]:
     return order + [v for v in range(n) if v not in cells]
 
 
-def _schedule(instance: Instance) -> tuple[list[_Step], int] | None:
+def _schedule(
+    instance: Instance, require_spanning: bool, blocked: int
+) -> tuple[list[_Step], int] | None:
     """The edge steps of a run in order, and the number of slots.
 
     A vertex takes the lowest free slot when it enters and frees it after
-    its last edge.  Returns None when a terminal has no edges, which no
-    linkage can cover.
+    its last edge.  The edges of blocked vertices are left out.  Returns
+    None when a vertex every linkage must use has no edges: a terminal,
+    or under require_spanning any vertex not blocked.
     """
     graph = instance.graph
     n = graph.vertex_count
@@ -123,7 +141,13 @@ def _schedule(instance: Instance) -> tuple[list[_Step], int] | None:
     for i, (s, t) in enumerate(instance.pairs):
         label[s] = label[t] = -(i + 1)
     adjacency = graph.adjacency
-    if any(not adjacency[v] and label[v] for v in range(n)):
+    if blocked:
+        adjacency = [
+            () if blocked >> v & 1 else [w for w in adjacency[v] if not blocked >> w & 1]
+            for v in range(n)
+        ]
+    must_use = [bool(label[v]) or require_spanning and not blocked >> v & 1 for v in range(n)]
+    if any(not adjacency[v] and must_use[v] for v in range(n)):
         return None
     # A vertex's last edge is decided when its last neighbour enters.
     last = [max((position[w] for w in adjacency[v]), default=-1) for v in range(n)]
@@ -145,8 +169,9 @@ def _schedule(instance: Instance) -> tuple[list[_Step], int] | None:
             gone = [u] if last[u] == position[v] else []
             if j == len(back) - 1 and last[v] < position[v]:
                 gone.append(v)
-            steps.append(((u, v), 1 << u | 1 << v, slot[u], slot[v], label[u], label[v],
-                          tuple((slot[w], not label[w]) for w in gone)))
+            steps.append(((u, v) if u < v else (v, u), 1 << len(steps), 1 << u | 1 << v,
+                          slot[u], slot[v], label[u], label[v],
+                          tuple((slot[w], not must_use[w]) for w in gone)))
             gone_here.extend(gone)
         # Highest first, so pop() hands out the lowest free slot.
         free_slots.extend(slot[w] for w in gone_here)
@@ -170,36 +195,42 @@ def count_linkages(
     instance: Instance,
     max_nodes: int = DEFAULT_NODE_BUDGET,
     max_seconds: float = DEFAULT_TIME_BUDGET,
+    *,
+    require_spanning: bool = False,
+    blocked: Iterable[int] = (),
 ) -> LinkageCount:
-    """Count the linkages of instance exactly, with one witness and the
-    vertices that all of them use.
+    """Count the linkages of instance exactly, with one witness, the
+    vertices that all of them use and the edges that some of them use.
 
-    Each state expanded at an edge step is one node against max_nodes,
-    and max_seconds is one deadline for the whole run.  The run also
-    stops once a step produces more than MAX_STATES states.  Any of the
-    three ends it as STATUS_ABORTED.
+    Vertices in blocked are deleted, as in solve(), and with
+    require_spanning a linkage must use every other vertex.  Each state
+    expanded at an edge step is one node against max_nodes, and
+    max_seconds is one deadline for the whole run.  The run also stops
+    once a step produces more than MAX_STATES states.  Any of the three
+    ends it as STATUS_ABORTED.
     """
     deadline = time.monotonic() + max_seconds
-    plan = _schedule(instance)
+    plan = _schedule(instance, require_spanning, check_blocked(instance, blocked))
     if plan is None:
-        return LinkageCount(STATUS_UNSOLVABLE, 0, None, None, 0, 1)
+        return LinkageCount(STATUS_UNSOLVABLE, 0, None, None, frozenset(), 0, 1)
     steps, width = plan
     # counts maps a state to [number of partial edge sets reaching it,
     # edges of the first one as a linked list (edge, rest) or None,
-    # bitmask of the vertices that all of them use].
+    # bitmask of the vertices that all of them use, bitmask of the steps
+    # whose edge some of them take].
     root = (_FREE,) * width
-    counts: dict[tuple[int, ...], list] = {root: [1, None, 0]}
+    counts: dict[tuple[int, ...], list] = {root: [1, None, 0, 0]}
     nodes = 0
     peak = 1
     try:
-        for edge, bits, a, b, la, lb, leaving in steps:
+        for edge, step_bit, bits, a, b, la, lb, leaving in steps:
             if time.monotonic() > deadline:
                 raise _Abort("seconds")
             if nodes + len(counts) > max_nodes:
                 raise _Abort("nodes")
             next_counts: dict[tuple[int, ...], list] = {}
             get = next_counts.get
-            for state, (c, first, used) in counts.items():
+            for state, (c, first, used, some) in counts.items():
                 nodes += 1
                 if not nodes & 4095:
                     if time.monotonic() > deadline:
@@ -212,10 +243,11 @@ def count_linkages(
                 if child is not None:
                     entry = get(child)
                     if entry is None:
-                        next_counts[child] = [c, first, used]
+                        next_counts[child] = [c, first, used, some]
                     else:
                         entry[0] += c
                         entry[2] &= used
+                        entry[3] |= some
                 # Take it.
                 x, y = state[a], state[b]
                 if x == _DONE or y == _DONE:
@@ -251,25 +283,27 @@ def count_linkages(
                 if child is not None:
                     entry = get(child)
                     used |= bits
+                    some |= step_bit
                     if entry is None:
-                        next_counts[child] = [c, (edge, first), used]
+                        next_counts[child] = [c, (edge, first), used, some]
                     else:
                         entry[0] += c
                         entry[2] &= used
+                        entry[3] |= some
             counts = next_counts
             if len(counts) > peak:
                 peak = len(counts)
                 if peak > MAX_STATES:
                     raise _Abort("states")
     except _Abort as stop:
-        return LinkageCount(STATUS_ABORTED, None, None, None, nodes, peak, stop.limit)
+        return LinkageCount(STATUS_ABORTED, None, None, None, None, nodes, peak, stop.limit)
     # Every vertex has left, so at most the all-free state is left.
     if root not in counts:
-        return LinkageCount(STATUS_UNSOLVABLE, 0, None, None, nodes, peak)
-    total, chain, used = counts[root]
-    used_by_all = frozenset(v for v in range(instance.graph.vertex_count) if used >> v & 1)
-    return LinkageCount(STATUS_SOLVABLE, total, _witness(instance, chain), used_by_all,
-                        nodes, peak)
+        return LinkageCount(STATUS_UNSOLVABLE, 0, None, None, frozenset(), nodes, peak)
+    total, chain, used, some = counts[root]
+    used_by_some = frozenset(steps[i][0] for i in iter_bits(some))
+    return LinkageCount(STATUS_SOLVABLE, total, _witness(instance, chain),
+                        frozenset(iter_bits(used)), used_by_some, nodes, peak)
 
 
 def _witness(instance: Instance, chain: tuple | None) -> Linkage:

@@ -23,11 +23,18 @@ component no label covers yet is flooded when a prune first asks about
 it.  The tests themselves are inherited too: a node re-tests only the
 pairs and the free vertices its move can have affected.
 
-Every emitted solution is re-checked inside the search, with the same
-adjacency masks: each path once, at the first emission that holds it
-(ends, edges, no repeated vertex, none used by an earlier path), plus
-the spanning test.  check_linkage() stays the separate public checker
-and raises the same messages.
+Every emitted solution is re-checked inside the search, with the
+graph's adjacency masks: each path once, at the first emission that
+holds it (ends, edges, no repeated vertex, none used by an earlier
+path), plus the spanning test.  check_linkage() stays the separate
+public checker and raises the same messages.
+
+On an instance with a grid layout solve() first counts the linkages
+with the frontier DP (frontier.count_linkages) and then searches only
+the edges that at least one linkage uses; an edge no linkage uses leads
+to no solution, so the search loses none and returns the same solutions
+in the same order.  When the count stops at a limit the search runs on
+every edge.  Instances without a layout are searched on every edge.
 
 Budgets bound the search; an exhausted budget surfaces as status
 "aborted" and is never coerced into an answer.
@@ -165,6 +172,19 @@ def check_linkage(
         raise ValueError("linkage does not span all vertices")
 
 
+def check_blocked(instance: Instance, blocked: Iterable[int]) -> int:
+    """The vertices in blocked as a bitmask.  Raises ValueError when one
+    is out of range or a terminal, since terminals cannot be blocked."""
+    mask = 0
+    for v in blocked:
+        if not 0 <= v < instance.graph.vertex_count:
+            raise ValueError(f"blocked vertex {v} out of range")
+        mask |= 1 << v
+    if mask and any(mask >> v & 1 for pair in instance.pairs for v in pair):
+        raise ValueError("terminals cannot be blocked")
+    return mask
+
+
 def _check_closed(
     adj: list[int],
     pairs: tuple[tuple[int, int], ...],
@@ -277,6 +297,20 @@ def solve(
     A solution is emitted only after all its paths and, under
     require_spanning, its cover pass the same check.  A fault raises
     the ValueError check_linkage() would raise.
+
+    When instance has a grid layout, count_linkages() runs first with
+    the same require_spanning and blocked, and the search moves and
+    prunes only on the edges it reports some linkage using: candidates,
+    component labels and splits, both prunes and the spanning seeds.
+    The pair_order tightness, the min-degree ranking and the path check
+    still read every edge, so the search tries the same candidates in
+    the same order, less subtrees that hold no solution, and every mode
+    returns what the search on every edge returns.  nodes_explored is
+    then the count's state expansions plus the search nodes.  The two
+    share max_nodes and the deadline of max_seconds; when the count
+    stops at a limit (nodes, states or seconds) the search runs on every
+    edge with what is left of both.  At the k = 4 instance the count
+    holds up to MAX_STATES states, about 100 MB, before it stops.
     """
     if mode == "decide":
         cap = 1
@@ -294,25 +328,33 @@ def solve(
 
     graph, pairs = instance.graph, instance.pairs
     n = graph.vertex_count
-    blocked_mask = 0
-    for v in blocked:
-        if not 0 <= v < n:
-            raise ValueError(f"blocked vertex {v} out of range")
-        blocked_mask |= 1 << v
+    blocked_mask = check_blocked(instance, blocked)
     terminal_mask = 0
     for s, t in pairs:
         terminal_mask |= (1 << s) | (1 << t)
-    if terminal_mask & blocked_mask:
-        raise ValueError("terminals cannot be blocked")
 
-    adj = adjacency_masks(graph)
+    start = time.monotonic()
+    nodes = 0
+    # full is the graph's adjacency; adj, which the search moves and
+    # prunes on, keeps only the edges some linkage uses when a frontier
+    # count on the grid layout finishes inside the budgets.
+    adj = full = adjacency_masks(graph)
+    if instance.layout is not None:
+        from .frontier import count_linkages  # frontier imports this module
+
+        counted = count_linkages(instance, max_nodes, max_seconds,
+                                 require_spanning=require_spanning,
+                                 blocked=iter_bits(blocked_mask))
+        nodes = counted.nodes
+        if counted.status != STATUS_ABORTED:
+            adj = adjacency_masks(Graph(n, counted.used_by_some))
     all_mask = (1 << n) - 1 if n else 0
     free0 = all_mask & ~terminal_mask & ~blocked_mask
     if pair_order == PAIR_ORDER_AUTO:
         def tightness(i: int) -> tuple[int, int]:
             s, t = pairs[i]
             return (
-                min((adj[s] & free0).bit_count(), (adj[t] & free0).bit_count()),
+                min((full[s] & free0).bit_count(), (full[t] & free0).bit_count()),
                 i,
             )
         proc = tuple(sorted(range(len(pairs)), key=tightness))
@@ -331,9 +373,7 @@ def solve(
             pending_terms[idx] = pending_terms[idx + 1] | (1 << s) | (1 << t)
             pending_nbrs[idx] = pending_nbrs[idx + 1] | adj[s] | adj[t]
 
-    start = time.monotonic()
     deadline = start + max_seconds
-    nodes = 0
     found: list[tuple[tuple[int, ...], ...]] = []
     # done_paths holds the closed paths in search order; used_masks[j]
     # is the vertex mask of the first j of them, or None until complete()
@@ -452,10 +492,10 @@ def solve(
         if used is None:
             for j in range(used_masks.index(None), len(used_masks)):
                 used_masks[j] = _check_closed(
-                    adj, search_pairs, done_paths[:j], used_masks[j - 1]
+                    full, search_pairs, done_paths[:j], used_masks[j - 1]
                 )
             used = used_masks[-1]
-        _check_closed(adj, search_pairs, done_paths, used, cover)
+        _check_closed(full, search_pairs, done_paths, used, cover)
         if search_pairs is pairs:  # searched in input order already
             paths = tuple(done_paths)
         else:
@@ -505,7 +545,7 @@ def solve(
                         while candidates:
                             low = candidates & -candidates
                             v = low.bit_length() - 1
-                            ranked.append(((adj[v] & free).bit_count(), v))
+                            ranked.append(((full[v] & free).bit_count(), v))
                             candidates ^= low
                         ranked.sort(reverse=True)
                         candidates = ranked

@@ -299,6 +299,17 @@ class TestCli:
         verdict = "PASS" if code == EXIT_OK else "INDETERMINATE"
         assert len(rows) == 5 and all(row.startswith(verdict) for row in rows)
 
+    def test_solve_k4_spends_one_budget(self, tmp_path, capsys):
+        # The frontier count stops at its state cap, and the search that
+        # follows gets only what is left of the same deadline.
+        path = tmp_path / "k4.json"
+        assert main(["generate", "-k", "4", "--out", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        start = time.monotonic()
+        assert main(["solve", str(path), "--budget-seconds", "2"]) == EXIT_ABORTED
+        assert time.monotonic() - start < 2.5
+        assert "status: aborted" in capsys.readouterr().err
+
     def test_verify_catches_tampering(self, instance_file, tmp_path, capsys):
         inst = parse_instance(instance_file.read_text())
         # drop the border arc; the instance loses its unique solution

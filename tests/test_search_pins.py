@@ -4,7 +4,9 @@ Node counts are deterministic, so they fix exactly which search nodes
 the pruning keeps.  Each row records nodes_explored, the number of
 solutions and a digest of the solution list for one instance and knob
 setting; any change to a prune (or to the neighbor or pair order) shows
-up here as a count change, not only as a timing change.
+up here as a count change, not only as a timing change.  The paper's
+instances are pinned twice: on every edge (without their grid layout)
+and on the edges the frontier DP leaves (with it).
 """
 
 import hashlib
@@ -21,87 +23,110 @@ def _digest(outcome) -> str:
 
 
 # (s0 placement, k, order, pair_order, require_spanning, mode,
-#  nodes_explored, solutions, digest)
+#  nodes_explored without the layout, solutions, digest,
+#  nodes_explored with the layout).  With the layout solve() first
+# counts the linkages by the frontier DP and then searches only the
+# edges some linkage uses: its nodes are the DP's expansions plus the
+# search nodes, and its solutions must be the same.
 PINNED = [
-    ("top-right", 1, "ascending", "input", False, "decide", 11, 1, "cf8bf5051e2e4f85"),
-    ("top-right", 1, "ascending", "input", False, "enumerate_all", 16, 4, "7e2fb66e33969f96"),
-    ("top-right", 1, "ascending", "input", True, "decide", 13, 0, "4f53cda18c2baa0c"),
-    ("top-right", 1, "ascending", "input", True, "enumerate_all", 13, 0, "4f53cda18c2baa0c"),
-    ("top-right", 1, "ascending", "auto", False, "decide", 11, 1, "cf8bf5051e2e4f85"),
-    ("top-right", 1, "ascending", "auto", False, "enumerate_all", 16, 4, "7e2fb66e33969f96"),
-    ("top-right", 1, "ascending", "auto", True, "decide", 13, 0, "4f53cda18c2baa0c"),
-    ("top-right", 1, "ascending", "auto", True, "enumerate_all", 13, 0, "4f53cda18c2baa0c"),
-    ("top-right", 1, "min-degree", "input", False, "decide", 10, 1, "cf8bf5051e2e4f85"),
-    ("top-right", 1, "min-degree", "input", False, "enumerate_all", 16, 4, "7e2fb66e33969f96"),
-    ("top-right", 1, "min-degree", "input", True, "decide", 13, 0, "4f53cda18c2baa0c"),
-    ("top-right", 1, "min-degree", "input", True, "enumerate_all", 13, 0, "4f53cda18c2baa0c"),
-    ("top-right", 1, "min-degree", "auto", False, "decide", 10, 1, "cf8bf5051e2e4f85"),
-    ("top-right", 1, "min-degree", "auto", False, "enumerate_all", 16, 4, "7e2fb66e33969f96"),
-    ("top-right", 1, "min-degree", "auto", True, "decide", 13, 0, "4f53cda18c2baa0c"),
-    ("top-right", 1, "min-degree", "auto", True, "enumerate_all", 13, 0, "4f53cda18c2baa0c"),
-    ("top-right", 2, "ascending", "input", False, "decide", 557, 1, "4f8d37990eec55aa"),
-    ("top-right", 2, "ascending", "input", False, "enumerate_all", 765, 21, "56d0a50f88f6f994"),
-    ("top-right", 2, "ascending", "input", True, "decide", 379, 0, "4f53cda18c2baa0c"),
-    ("top-right", 2, "ascending", "input", True, "enumerate_all", 379, 0, "4f53cda18c2baa0c"),
-    ("top-right", 2, "ascending", "auto", False, "decide", 557, 1, "4f8d37990eec55aa"),
-    ("top-right", 2, "ascending", "auto", False, "enumerate_all", 765, 21, "56d0a50f88f6f994"),
-    ("top-right", 2, "ascending", "auto", True, "decide", 379, 0, "4f53cda18c2baa0c"),
-    ("top-right", 2, "ascending", "auto", True, "enumerate_all", 379, 0, "4f53cda18c2baa0c"),
-    ("top-right", 2, "min-degree", "input", False, "decide", 377, 1, "a0539ad537b5d30f"),
-    ("top-right", 2, "min-degree", "input", False, "enumerate_all", 765, 21, "56d0a50f88f6f994"),
-    ("top-right", 2, "min-degree", "input", True, "decide", 379, 0, "4f53cda18c2baa0c"),
-    ("top-right", 2, "min-degree", "input", True, "enumerate_all", 379, 0, "4f53cda18c2baa0c"),
-    ("top-right", 2, "min-degree", "auto", False, "decide", 377, 1, "a0539ad537b5d30f"),
-    ("top-right", 2, "min-degree", "auto", False, "enumerate_all", 765, 21, "56d0a50f88f6f994"),
-    ("top-right", 2, "min-degree", "auto", True, "decide", 379, 0, "4f53cda18c2baa0c"),
-    ("top-right", 2, "min-degree", "auto", True, "enumerate_all", 379, 0, "4f53cda18c2baa0c"),
-    ("bottom-left", 1, "ascending", "input", False, "decide", 8, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "ascending", "input", False, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "ascending", "input", True, "decide", 8, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "ascending", "input", True, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "ascending", "auto", False, "decide", 8, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "ascending", "auto", False, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "ascending", "auto", True, "decide", 8, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "ascending", "auto", True, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "min-degree", "input", False, "decide", 8, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "min-degree", "input", False, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "min-degree", "input", True, "decide", 8, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "min-degree", "input", True, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "min-degree", "auto", False, "decide", 8, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "min-degree", "auto", False, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "min-degree", "auto", True, "decide", 8, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 1, "min-degree", "auto", True, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c"),
-    ("bottom-left", 2, "ascending", "input", False, "decide", 243, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "ascending", "input", False, "enumerate_all", 671, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "ascending", "input", True, "decide", 175, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "ascending", "input", True, "enumerate_all", 361, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "ascending", "auto", False, "decide", 243, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "ascending", "auto", False, "enumerate_all", 671, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "ascending", "auto", True, "decide", 175, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "ascending", "auto", True, "enumerate_all", 361, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "min-degree", "input", False, "decide", 188, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "min-degree", "input", False, "enumerate_all", 671, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "min-degree", "input", True, "decide", 124, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "min-degree", "input", True, "enumerate_all", 361, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "min-degree", "auto", False, "decide", 188, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "min-degree", "auto", False, "enumerate_all", 671, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "min-degree", "auto", True, "decide", 124, 1, "6e105fb5e878d798"),
-    ("bottom-left", 2, "min-degree", "auto", True, "enumerate_all", 361, 1, "6e105fb5e878d798"),
+    ("top-right", 1, "ascending", "input", False, "decide", 11, 1, "cf8bf5051e2e4f85", 41),
+    ("top-right", 1, "ascending", "input", False, "enumerate_all", 16, 4, "7e2fb66e33969f96", 46),
+    ("top-right", 1, "ascending", "input", True, "decide", 13, 0, "4f53cda18c2baa0c", 21),
+    ("top-right", 1, "ascending", "input", True, "enumerate_all", 13, 0, "4f53cda18c2baa0c", 21),
+    ("top-right", 1, "ascending", "auto", False, "decide", 11, 1, "cf8bf5051e2e4f85", 41),
+    ("top-right", 1, "ascending", "auto", False, "enumerate_all", 16, 4, "7e2fb66e33969f96", 46),
+    ("top-right", 1, "ascending", "auto", True, "decide", 13, 0, "4f53cda18c2baa0c", 21),
+    ("top-right", 1, "ascending", "auto", True, "enumerate_all", 13, 0, "4f53cda18c2baa0c", 21),
+    ("top-right", 1, "min-degree", "input", False, "decide", 10, 1, "cf8bf5051e2e4f85", 41),
+    ("top-right", 1, "min-degree", "input", False, "enumerate_all", 16, 4, "7e2fb66e33969f96", 46),
+    ("top-right", 1, "min-degree", "input", True, "decide", 13, 0, "4f53cda18c2baa0c", 21),
+    ("top-right", 1, "min-degree", "input", True, "enumerate_all", 13, 0, "4f53cda18c2baa0c", 21),
+    ("top-right", 1, "min-degree", "auto", False, "decide", 10, 1, "cf8bf5051e2e4f85", 41),
+    ("top-right", 1, "min-degree", "auto", False, "enumerate_all", 16, 4, "7e2fb66e33969f96", 46),
+    ("top-right", 1, "min-degree", "auto", True, "decide", 13, 0, "4f53cda18c2baa0c", 21),
+    ("top-right", 1, "min-degree", "auto", True, "enumerate_all", 13, 0, "4f53cda18c2baa0c", 21),
+    ("top-right", 2, "ascending", "input", False, "decide", 557, 1, "4f8d37990eec55aa", 236),
+    ("top-right", 2, "ascending", "input", False, "enumerate_all", 765, 21, "56d0a50f88f6f994",
+     429),
+    ("top-right", 2, "ascending", "input", True, "decide", 379, 0, "4f53cda18c2baa0c", 125),
+    ("top-right", 2, "ascending", "input", True, "enumerate_all", 379, 0, "4f53cda18c2baa0c", 125),
+    ("top-right", 2, "ascending", "auto", False, "decide", 557, 1, "4f8d37990eec55aa", 236),
+    ("top-right", 2, "ascending", "auto", False, "enumerate_all", 765, 21, "56d0a50f88f6f994",
+     429),
+    ("top-right", 2, "ascending", "auto", True, "decide", 379, 0, "4f53cda18c2baa0c", 125),
+    ("top-right", 2, "ascending", "auto", True, "enumerate_all", 379, 0, "4f53cda18c2baa0c", 125),
+    ("top-right", 2, "min-degree", "input", False, "decide", 377, 1, "a0539ad537b5d30f", 235),
+    ("top-right", 2, "min-degree", "input", False, "enumerate_all", 765, 21, "56d0a50f88f6f994",
+     429),
+    ("top-right", 2, "min-degree", "input", True, "decide", 379, 0, "4f53cda18c2baa0c", 125),
+    ("top-right", 2, "min-degree", "input", True, "enumerate_all", 379, 0, "4f53cda18c2baa0c",
+     125),
+    ("top-right", 2, "min-degree", "auto", False, "decide", 377, 1, "a0539ad537b5d30f", 235),
+    ("top-right", 2, "min-degree", "auto", False, "enumerate_all", 765, 21, "56d0a50f88f6f994",
+     429),
+    ("top-right", 2, "min-degree", "auto", True, "decide", 379, 0, "4f53cda18c2baa0c", 125),
+    ("top-right", 2, "min-degree", "auto", True, "enumerate_all", 379, 0, "4f53cda18c2baa0c", 125),
+    ("bottom-left", 1, "ascending", "input", False, "decide", 8, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "ascending", "input", False, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "ascending", "input", True, "decide", 8, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "ascending", "input", True, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "ascending", "auto", False, "decide", 8, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "ascending", "auto", False, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "ascending", "auto", True, "decide", 8, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "ascending", "auto", True, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "min-degree", "input", False, "decide", 8, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "min-degree", "input", False, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c",
+     20),
+    ("bottom-left", 1, "min-degree", "input", True, "decide", 8, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "min-degree", "input", True, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "min-degree", "auto", False, "decide", 8, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "min-degree", "auto", False, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "min-degree", "auto", True, "decide", 8, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 1, "min-degree", "auto", True, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c", 20),
+    ("bottom-left", 2, "ascending", "input", False, "decide", 243, 1, "6e105fb5e878d798", 65),
+    ("bottom-left", 2, "ascending", "input", False, "enumerate_all", 671, 1, "6e105fb5e878d798",
+     65),
+    ("bottom-left", 2, "ascending", "input", True, "decide", 175, 1, "6e105fb5e878d798", 65),
+    ("bottom-left", 2, "ascending", "input", True, "enumerate_all", 361, 1, "6e105fb5e878d798",
+     65),
+    ("bottom-left", 2, "ascending", "auto", False, "decide", 243, 1, "6e105fb5e878d798", 65),
+    ("bottom-left", 2, "ascending", "auto", False, "enumerate_all", 671, 1, "6e105fb5e878d798",
+     65),
+    ("bottom-left", 2, "ascending", "auto", True, "decide", 175, 1, "6e105fb5e878d798", 65),
+    ("bottom-left", 2, "ascending", "auto", True, "enumerate_all", 361, 1, "6e105fb5e878d798", 65),
+    ("bottom-left", 2, "min-degree", "input", False, "decide", 188, 1, "6e105fb5e878d798", 65),
+    ("bottom-left", 2, "min-degree", "input", False, "enumerate_all", 671, 1, "6e105fb5e878d798",
+     65),
+    ("bottom-left", 2, "min-degree", "input", True, "decide", 124, 1, "6e105fb5e878d798", 65),
+    ("bottom-left", 2, "min-degree", "input", True, "enumerate_all", 361, 1, "6e105fb5e878d798",
+     65),
+    ("bottom-left", 2, "min-degree", "auto", False, "decide", 188, 1, "6e105fb5e878d798", 65),
+    ("bottom-left", 2, "min-degree", "auto", False, "enumerate_all", 671, 1, "6e105fb5e878d798",
+     65),
+    ("bottom-left", 2, "min-degree", "auto", True, "decide", 124, 1, "6e105fb5e878d798", 65),
+    ("bottom-left", 2, "min-degree", "auto", True, "enumerate_all", 361, 1, "6e105fb5e878d798",
+     65),
 ]
 
 
 @pytest.mark.parametrize(
-    "placement,k,order,pair_order,spanning,mode,nodes,count,digest", PINNED
+    "placement,k,order,pair_order,spanning,mode,nodes,count,digest,filtered_nodes", PINNED,
+    # Ids leave out filtered_nodes, so that re-pinning it keeps the row's name.
+    ids=["-".join(map(str, row[:-1])) for row in PINNED],
 )
-def test_search_pinned(placement, k, order, pair_order, spanning, mode, nodes, count, digest):
-    out = solve(
-        build_instance(k, s0_placement=placement),
-        mode=mode,
-        require_spanning=spanning,
-        order=order,
-        pair_order=pair_order,
-    )
-    assert (out.nodes_explored, len(out.solutions), _digest(out)) == (nodes, count, digest)
+def test_search_pinned(placement, k, order, pair_order, spanning, mode, nodes, count, digest,
+                       filtered_nodes):
+    instance = build_instance(k, s0_placement=placement)
+    for searched, want in ((Instance.make(instance.graph, instance.pairs), nodes),
+                           (instance, filtered_nodes)):
+        out = solve(
+            searched,
+            mode=mode,
+            require_spanning=spanning,
+            order=order,
+            pair_order=pair_order,
+        )
+        assert (out.nodes_explored, len(out.solutions), _digest(out)) == (want, count, digest)
 
 
 def test_unique_solutions_pinned():
@@ -132,7 +157,7 @@ def test_k3_spanning_search_pinned():
         order="min-degree",
         pair_order="auto",
     )
-    assert out.nodes_explored == 70685
+    assert out.nodes_explored == 19680
     assert tuple(link.paths for link in out.solutions) == (K3_SOLUTION,)
 
 
@@ -142,7 +167,7 @@ def test_k3_decide_search_pinned():
         order="min-degree",
         pair_order="auto",
     )
-    assert out.nodes_explored == 376823
+    assert out.nodes_explored == 31125
     assert tuple(link.paths for link in out.solutions) == (K3_SOLUTION,)
 
 
