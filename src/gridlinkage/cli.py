@@ -8,6 +8,8 @@ codes are a stable contract: 0 success or solvable, 1 unsolvable,
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import sys
 from pathlib import Path
 
@@ -23,7 +25,6 @@ from .construction import (
 from .graphs import crossing_report
 from .io import (
     check_solution_matches,
-    instance_digest,
     parse_instance,
     parse_solution,
     read_edge_list,
@@ -82,14 +83,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     terminals = ", ".join(
         f"s{i}={s} t{i}={t}" for i, (s, t) in enumerate(instance.pairs)
     )
+    # The digest is the sha256 of these very bytes (io.instance_digest),
+    # so the instance is serialized once.
+    text = serialize_instance(instance)
     summary = [
         f"vertices: {graph.vertex_count}",
         f"edges: {len(graph.edges)}",
         f"pairs: {len(instance.pairs)}",
         f"terminals: {terminals}",
-        f"digest: {instance_digest(instance)}",
+        f"digest: {hashlib.sha256(text.encode()).hexdigest()}",
     ]
-    _emit(serialize_instance(instance), args.out, summary)
+    _emit(text, args.out, summary)
     return EXIT_OK
 
 
@@ -239,6 +243,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if mismatches == 0 else EXIT_CHECK_FAILED
 
 
+# Built on the first main() call rather than at import, then shared by
+# every later call in the process, so no caller may change it.  Parsing
+# leaves the parser as it was, and a help formatter (which reads the
+# terminal width) is made each time help or usage is printed.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridlinkage",

@@ -34,13 +34,15 @@ searches only the last.
 
 The entry order sets the frontier's width and so the number of states.
 With a grid layout vertices enter column by column, which keeps the
-frontier to one column plus one vertex; without one they enter by
-number.  Budgets bound the run, and at a budget the answer is
+frontier to one column plus one vertex; without one they enter
+greedily, each next vertex the one with the most neighbours already
+placed.  Budgets bound the run, and at a budget the answer is
 "aborted", never a guess.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -112,13 +114,33 @@ _Step = tuple[tuple[int, int], int, int, int, int, int, int, tuple[tuple[int, bo
 
 def _order(instance: Instance) -> list[int]:
     """Column-major (col, row) order from the grid layout, vertices off
-    the lattice last; vertex order without a layout."""
+    the lattice last.  Without a layout, a greedy order: next comes the
+    vertex with the most neighbours already placed, then the one with
+    the fewest neighbours, then the lowest number."""
     n = instance.graph.vertex_count
-    if instance.layout is None:
-        return list(range(n))
-    cells = instance.layout.cells
-    order = sorted(cells, key=lambda v: (cells[v][1], cells[v][0]))
-    return order + [v for v in range(n) if v not in cells]
+    if instance.layout is not None:
+        cells = instance.layout.cells
+        order = sorted(cells, key=lambda v: (cells[v][1], cells[v][0]))
+        return order + [v for v in range(n) if v not in cells]
+    adjacency = instance.graph.adjacency
+    placed_neighbours = [0] * n
+    placed = [False] * n
+    # Entries are (-placed neighbours, degree, vertex); an entry whose
+    # count has since grown is stale and skipped.
+    heap = [(0, len(adjacency[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        minus_placed, _, v = heapq.heappop(heap)
+        if placed[v] or -minus_placed != placed_neighbours[v]:
+            continue
+        placed[v] = True
+        order.append(v)
+        for w in adjacency[v]:
+            if not placed[w]:
+                placed_neighbours[w] += 1
+                heapq.heappush(heap, (-placed_neighbours[w], len(adjacency[w]), w))
+    return order
 
 
 def _schedule(

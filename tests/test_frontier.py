@@ -92,8 +92,8 @@ class TestCounts:
             for spanning in (False, True):
                 for blocked in blockings(instance):
                     counts.add(assert_matches_enumeration(instance, spanning, blocked).count)
-            # Without a layout the vertices enter by number: the order
-            # sets the frontier, never the count.
+            # Without a layout the vertices enter in a greedy order: the
+            # order sets the frontier, never the count.
             assert_matches_enumeration(stripped(instance))
         assert {0, 1} < counts
 

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from gridlinkage.cli import (
     EXIT_OK,
     EXIT_UNSOLVABLE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from gridlinkage.construction import S0_BOTTOM_LEFT
@@ -447,3 +449,95 @@ class TestCli:
             main(["solve", str(instance_file), "--mode", "enumerate",
                   "--out", str(target)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def run(argv, capsys):
+    """main(argv) as (exit code, stdout, stderr)."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_alone(argv, capsys):
+    """main(argv) on a parser built for this call only, as in a new process."""
+    build_parser.cache_clear()
+    return run(argv, capsys)
+
+
+@pytest.fixture
+def k2_top_right(tmp_path):
+    # 21 linkages, none of them spanning, so a --spanning that stuck to
+    # the parser would change the next document.
+    path = tmp_path / "k2.json"
+    assert main(["generate", "-k", "2", "--s0", "top-right", "--out", str(path)]) == EXIT_OK
+    return path
+
+
+class TestSharedParser:
+    """main() builds its parser once per process; no call may leave
+    anything behind in it for the next."""
+
+    def test_built_once(self, instance_file, capsys):
+        build_parser.cache_clear()
+        parser = build_parser()
+        for argv in (["verify", str(instance_file)], ["generate"],
+                     ["width", str(instance_file), "--tw"]):
+            main(argv)
+        assert build_parser() is parser
+        assert build_parser.cache_info().misses == 1
+
+    def test_spanning_flag_does_not_stick(self, k2_top_right, tmp_path, capsys):
+        spanning = ["solve", str(k2_top_right), "--mode", "enumerate", "--spanning",
+                    "--out", str(tmp_path / "span.json")]
+        every = ["solve", str(k2_top_right), "--mode", "enumerate",
+                 "--out", str(tmp_path / "all.json")]
+        alone = []
+        for argv in (spanning, every):
+            alone.append((run_alone(argv, capsys), Path(argv[-1]).read_bytes()))
+        for argv, want in zip((spanning, every), alone):
+            assert (run(argv, capsys), Path(argv[-1]).read_bytes()) == want
+        assert [result[0][0] for result in alone] == [EXIT_UNSOLVABLE, EXIT_OK]
+        assert "solutions: 21" in alone[1][0][1]
+
+    def test_usage_error_then_valid_command(self, instance_file, capsys):
+        valid = ["solve", str(instance_file), "--mode", "count"]
+        want = run_alone(valid, capsys)
+        assert want[0] == EXIT_OK and "unique: true" in want[2]
+        code, out, err = run(["solve", str(instance_file), "--mode", "bogus"], capsys)
+        assert code == EXIT_USAGE and out == "" and "invalid choice" in err
+        assert run(valid, capsys) == want
+
+    def test_width_flags_do_not_stick(self, instance_file, capsys):
+        code, out, _ = run(["width", str(instance_file), "--tw"], capsys)
+        assert code == EXIT_OK and "pathwidth" not in out
+        code, out, _ = run(["width", str(instance_file)], capsys)
+        assert code == EXIT_OK
+        assert "treewidth: 3 (exact)" in out and "pathwidth: 3 (exact)" in out
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    def test_help_matches_a_fresh_parser(self, columns, instance_file, monkeypatch, capsys):
+        # The help formatter reads the terminal width when help is
+        # printed, so a shared parser still follows COLUMNS.
+        main(["solve", str(instance_file), "--spanning"])
+        monkeypatch.setenv("COLUMNS", columns)
+        capsys.readouterr()
+        assert main(["solve", "-h"]) == EXIT_OK
+        shown = capsys.readouterr().out
+        fresh = build_parser.__wrapped__()
+        command = next(a for a in fresh._actions if a.dest == "command")
+        assert shown == command.choices["solve"].format_help()
+        assert main(["-h"]) == EXIT_OK
+        assert capsys.readouterr().out == fresh.format_help()
+
+
+class TestGenerateDigest:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_printed_digest_is_the_file_digest(self, k, tmp_path, capsys):
+        inst, sol = tmp_path / f"k{k}.json", tmp_path / f"k{k}.sol.json"
+        assert main(["generate", "-k", str(k), "--out", str(inst)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        (printed,) = [line.removeprefix("digest: ") for line in lines
+                      if line.startswith("digest: ")]
+        assert printed == instance_digest(parse_instance(inst.read_text()))
+        assert main(["solve", str(inst), "--out", str(sol)]) == EXIT_OK
+        assert parse_solution(sol.read_text())["instance_digest"] == printed
