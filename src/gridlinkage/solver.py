@@ -36,6 +36,15 @@ to no solution, so the search loses none and returns the same solutions
 in the same order.  When the count stops at a limit the search runs on
 every edge.  Instances without a layout are searched on every edge.
 
+Without the spanning test the search also reuses the later pairs'
+solutions, keyed on the free region they may use: the same reuse of
+sub-results keyed on a region that makes frontier path search
+(Knuth's SIMPATH) fast.  A path's interior is connected, lies in the
+free set and touches both of its own ends, so once pair j - 1 closes
+the solutions of pairs j..last lie in the union of the free components
+that touch both ends of some pair >= j, and depend on nothing else.
+Routings of the earlier pairs that leave the same region share them.
+
 Budgets bound the search; an exhausted budget surfaces as status
 "aborted" and is never coerced into an answer.
 """
@@ -229,6 +238,61 @@ def _check_closed(
     return used
 
 
+def _suffix_key(
+    adj: list[int],
+    rank_full: list[int] | None,
+    search_pairs: tuple[tuple[int, int], ...],
+    j: int,
+    free: int,
+    labels: tuple[list[int], int],
+) -> tuple[tuple, tuple[list[int], int]]:
+    """The suffix-memo key of a pair-j subtree of solve(), and labels to
+    hand on: free's components labels holds, plus those flooded here.
+
+    The region, the union of the components of free that touch both
+    ends' neighborhoods of some pair >= j, holds every path of pairs
+    j..last, so it fixes their solutions.  The components next to a
+    pending s are labelled once its pair was tested; those of a pair with
+    adjacent ends may not be, and are flooded here.  rank_full is the
+    graph's adjacency when min-degree order decides which solutions a
+    cap keeps, else None.  Then the key also holds the free vertices
+    outside the region that a candidate's rank counts: the neighbors of
+    each t of pairs >= j, and those of region vertices across an edge
+    adj dropped.
+    """
+    comps, labelled = labels
+    rest = search_pairs[j:]
+    fresh = 0
+    for s, _ in rest:
+        fresh |= adj[s]
+    fresh &= free & ~labelled
+    if fresh:
+        new = components(adj, free & ~labelled, fresh)
+        comps = comps + new
+        for comp in new:
+            labelled |= comp
+        labels = comps, labelled
+    region = 0
+    for comp in comps:
+        for s, t in rest:
+            if comp & adj[s] and comp & adj[t]:
+                region |= comp
+                break
+    if rank_full is None:
+        return (j, region), labels
+    near = 0
+    for _, t in rest:
+        near |= rank_full[t]
+    if adj is not rank_full:
+        m = region
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            near |= rank_full[v] & ~adj[v]
+            m ^= low
+    return (j, region, free & ~region & near), labels
+
+
 ORDER_ASCENDING = "ascending"
 ORDER_MIN_DEGREE = "min-degree"
 PAIR_ORDER_INPUT = "input"
@@ -269,17 +333,17 @@ def solve(
     pair from its path head to t, or a pending pair from s to t.  The
     test is the joinability rule of the module docstring, which is
     exactly what a breadth-first search through the free set reports,
-    so no solution is lost and node counts equal those of one search
-    per pair.  With require_spanning a node is also pruned when a free
-    component lies next to neither the head nor a terminal still to be
-    linked, since no path can enter it, or when a free vertex keeps
-    fewer than two possible path neighbors.  A node with one pair left
-    and no spanning test floods from the head only until it touches t.
-    Every other node starts from the component labels of its parent and
-    updates only the component the path entered; a split is found by a
-    local test around the entered vertex, or else by a flood from its
-    neighbors that runs dry before it reaches them all.  The search
-    keeps its own stack, so long paths do not hit the recursion limit.
+    so no solution is lost.  With require_spanning a node is also
+    pruned when a free component lies next to neither the head nor a
+    terminal still to be linked, since no path can enter it, or when a
+    free vertex keeps fewer than two possible path neighbors.  A node
+    with one pair left and no spanning test floods from the head only
+    until it touches t.  Every other node starts from the component
+    labels of its parent and updates only the component the path
+    entered; a split is found by a local test around the entered
+    vertex, or else by a flood from its neighbors that runs dry before
+    it reaches them all.  The search keeps its own stack, so long paths
+    do not hit the recursion limit.
 
     A node re-tests only what its move can have changed, since its
     parent passed every test.  After a step to v the current pair is
@@ -311,6 +375,30 @@ def solve(
     stops at a limit (nodes, states or seconds) the search runs on every
     edge with what is left of both.  At the k = 4 instance the count
     holds up to MAX_STATES states, about 100 MB, before it stops.
+
+    Without require_spanning a suffix memo skips subtrees whose answer
+    is known.  When pair j - 1 closes, the key is j and the region R,
+    the union of the free components that touch both ends' neighbor
+    sets of some pair >= j (the module docstring says why R fixes the
+    solutions of pairs j..last).  A subtree that finishes below the cap
+    stores the suffixes it emitted, in emission order: the solutions it
+    added, whose paths j..last and their vertex mask are the suffixes.
+    One that emitted none stores that too, so decide stops repeating
+    subtrees that failed.  The first pair-j subtree of a call gets no
+    key, since most small calls close each pair once.  On a hit the
+    stored suffixes are emitted after the closed paths, in their order,
+    in place of the subtree.  The ascending order ranks candidates by id
+    alone, so the search on any free set with region R meets those
+    suffixes in that order too.  Min-degree ranks them by all their free
+    neighbors, some outside R: those of each t >= j and those across an
+    edge the DP filter dropped.  So with a cap, where the order decides
+    which solutions are kept, those vertices join the key.  Each
+    replayed suffix is checked against the closed paths' vertex mask
+    (the suffix itself was checked when first emitted) and the deadline
+    is polled on the first suffix of every replay and every 4096 after
+    it.  nodes_explored counts only the nodes searched, so it drops; the
+    memo lives for one call.  A spanning search keeps no memo: its key
+    would be the whole free set, which rarely repeats.
     """
     if mode == "decide":
         cap = 1
@@ -374,16 +462,67 @@ def solve(
             pending_nbrs[idx] = pending_nbrs[idx + 1] | adj[s] | adj[t]
 
     deadline = start + max_seconds
+    # The solutions found, in search order, and their vertex masks.
     found: list[tuple[tuple[int, ...], ...]] = []
+    found_masks: list[int] = []
     # done_paths holds the closed paths in search order; used_masks[j]
-    # is the vertex mask of the first j of them, or None until complete()
-    # has checked them.
+    # is the vertex mask of the first j of them, or None until they have
+    # been checked.
     done_paths: list[tuple[int, ...]] = []
     used_masks: list[int | None] = [0]
     # The vertices a complete linkage must cover: under require_spanning
     # all but the blocked ones, which count as deleted.
     cover = all_mask & ~blocked_mask if require_spanning else 0
     no_labels: tuple[list[int], int] = ([], 0)
+    min_degree = order == ORDER_MIN_DEGREE
+
+    # The suffix memo (see the solve() docstring).  memo maps the key of
+    # a pair-j subtree to (first, end, prefix) when it added the
+    # solutions found[first:end], or to () when it added none: each
+    # found[i][j:] is a suffix, and found_masks[i] ^ prefix its vertex
+    # mask, prefix being that of the paths before j.  opened holds (key,
+    # len(found) at its start) for each pair-j subtree being searched;
+    # bit j of keyed is set once a pair-j subtree was.
+    memo: dict[tuple, tuple[int, ...]] | None = (
+        {} if not require_spanning and last > 0 else None)
+    opened: list[tuple[tuple | None, int]] = []
+    keyed = 0
+
+    def complete(free: int, entry: tuple[int, int, int] | None = None) -> None:
+        # Emit the closed paths as a solution or, given a memo entry, the
+        # closed paths followed by each suffix it holds.
+        if require_spanning and free:
+            return
+        # Each closed path is checked at the first emission that holds
+        # it, and stays checked until backtracking drops it.
+        used = used_masks[-1]
+        if used is None:
+            for j in range(used_masks.index(None), len(used_masks)):
+                used_masks[j] = _check_closed(
+                    full, search_pairs, done_paths[:j], used_masks[j - 1]
+                )
+            used = used_masks[-1]
+        paths = tuple(done_paths)
+        if entry is not None:
+            # A stored suffix was checked when it was first emitted;
+            # here it must only miss the closed paths.
+            first, end, prefix = entry
+            j = len(paths)
+            for i in range(first, end):
+                if not (i - first) & 4095 and time.monotonic() > deadline:
+                    raise _BudgetExhausted
+                mask = found_masks[i] ^ prefix
+                if used & mask:
+                    raise ValueError(f"paths share vertices {list(iter_bits(used & mask))}")
+                found_masks.append(used | mask)
+                found.append(paths + found[i][j:])
+                if cap is not None and len(found) >= cap:
+                    raise _CapHit
+            return
+        found_masks.append(_check_closed(full, search_pairs, done_paths, used, cover))
+        found.append(paths)
+        if cap is not None and len(found) >= cap:
+            raise _CapHit
 
     def feasible(
         idx: int,
@@ -483,31 +622,6 @@ def solve(
             return labels  # nothing flooded: hand the same labels on
         return comps, labelled
 
-    def complete(free: int) -> None:
-        if require_spanning and free:
-            return
-        # Each path before the last is checked at the first emission that
-        # holds it, and stays checked until backtracking drops it.
-        used = used_masks[-1]
-        if used is None:
-            for j in range(used_masks.index(None), len(used_masks)):
-                used_masks[j] = _check_closed(
-                    full, search_pairs, done_paths[:j], used_masks[j - 1]
-                )
-            used = used_masks[-1]
-        _check_closed(full, search_pairs, done_paths, used, cover)
-        if search_pairs is pairs:  # searched in input order already
-            paths = tuple(done_paths)
-        else:
-            by_input: list[tuple[int, ...]] = [()] * len(pairs)
-            for j, p in enumerate(done_paths):
-                by_input[proc[j]] = p
-            paths = tuple(by_input)
-        found.append(paths)
-        if cap is not None and len(found) >= cap:
-            raise _CapHit
-
-    min_degree = order == ORDER_MIN_DEGREE
     # Depth-first search with an explicit stack, so path length is not
     # bounded by the interpreter's recursion limit.  A frame is
     # [pair index, free set, t of the pair, candidates still to try,
@@ -562,6 +676,15 @@ def solve(
                         else:
                             route.pop()
                             if idx:
+                                if memo is not None:
+                                    # The pair-idx subtree finished below
+                                    # the cap: keep what it emitted.
+                                    key, first = opened.pop()
+                                    if key is not None:
+                                        end = len(found)
+                                        memo[key] = (
+                                            (first, end, used_masks[idx]) if end > first
+                                            else ())
                                 done_paths.pop()
                                 used_masks.pop()
                         continue
@@ -612,8 +735,26 @@ def solve(
                         done_paths.pop()
                         continue
                     used_masks.append(None)
-                    stale = 0
                     idx += 1
+                    if memo is not None:
+                        if keyed >> idx & 1:
+                            key, labels = _suffix_key(
+                                adj, full if min_degree and cap else None,
+                                search_pairs, idx, free, labels)
+                            frame[4] = labels
+                            entry = memo.get(key)
+                            if entry is not None:
+                                if entry:
+                                    complete(free, entry)
+                                done_paths.pop()
+                                used_masks.pop()
+                                continue
+                        else:
+                            # The first pair-idx subtree gets no key.
+                            keyed |= 1 << idx
+                            key = None
+                        opened.append((key, len(found)))
+                    stale = 0
                     head = search_pairs[idx][0]
                     route.append([head])
                     break
@@ -626,6 +767,10 @@ def solve(
     except _BudgetExhausted:
         aborted = True
 
+    if search_pairs is not pairs:
+        # Report the paths in input pair order.
+        back = sorted(range(len(proc)), key=proc.__getitem__)
+        found = [tuple([paths[j] for j in back]) for paths in found]
     solutions = tuple([Linkage(paths, graph) for paths in sorted(found)])
     wall = time.monotonic() - start
     if aborted:

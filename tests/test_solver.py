@@ -6,7 +6,10 @@ and irrelevance checks built on top of the solver.
 """
 
 import gc
+import hashlib
 import random
+import sys
+import types
 
 import pytest
 
@@ -28,6 +31,7 @@ from gridlinkage import (
     solve,
     spans_all_vertices,
 )
+from gridlinkage import solver as solver_module
 from gridlinkage.bitsets import adjacency_masks
 from gridlinkage.construction import S0_BOTTOM_LEFT
 from gridlinkage.solver import _check_closed
@@ -503,3 +507,173 @@ class TestIrrelevantVertices:
         assert rep.baseline_status == STATUS_ABORTED
         assert rep.indeterminate == frozenset({1, 3, 4, 5, 7})
         assert rep.irrelevant == rep.relevant == frozenset()
+
+
+# The suffix memo: once pair j - 1 closes, the later pairs' solutions
+# depend only on the free region they can use, so solve() replays what
+# an earlier subtree with the same region emitted.
+
+
+def _raw_5x6() -> Instance:
+    graph, _ = make_grid(5, 6)
+    return Instance.make(graph, [(12, 26), (3, 17), (29, 23)])
+
+
+def _border_cycle(rows: int, cols: int) -> list[int]:
+    return ([c for c in range(cols)]
+            + [r * cols + cols - 1 for r in range(1, rows)]
+            + [(rows - 1) * cols + c for c in range(cols - 2, -1, -1)]
+            + [r * cols for r in range(rows - 2, 0, -1)])
+
+
+def _non_interleaving_pairs(rng: random.Random, rows: int, cols: int,
+                            k: int) -> list[tuple[int, int]]:
+    """k pairs on the border of a rows x cols grid that do not interleave
+    around it: spots in cyclic order, matched like the brackets of a
+    random balanced word."""
+    cycle = _border_cycle(rows, cols)
+    spots = sorted(rng.sample(range(len(cycle)), 2 * k))
+    while True:
+        word = [1] * k + [-1] * k
+        rng.shuffle(word)
+        depth = 0
+        for w in word:
+            depth += w
+            if depth < 0:
+                break
+        else:
+            break
+    open_ends, pairs = [], []
+    for spot, w in zip(spots, word):
+        if w == 1:
+            open_ends.append(cycle[spot])
+        else:
+            pairs.append((open_ends.pop(), cycle[spot]))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _capped_batch() -> list[Instance]:
+    """Eight seeded 5x5 and 5x6 grids with 2-3 border pairs, each with
+    its layout (searched on the DP's edges) and without (every edge),
+    and the three k = 2 corner instances."""
+    rng = random.Random("suffix-memo")
+    batch = []
+    for i in range(8):
+        rows, cols = 5, (5, 6)[i % 2]
+        graph, layout = make_grid(rows, cols)
+        pairs = _non_interleaving_pairs(rng, rows, cols, rng.randint(2, 3))
+        batch.append(Instance.make(graph, pairs, layout))
+        batch.append(Instance.make(graph, pairs))
+    for placement in ("top-right", "bottom-right", "bottom-left"):
+        batch.append(build_instance(2, s0_placement=placement))
+    return batch
+
+
+ORDERS = [(order, pair_order) for order in ("ascending", "min-degree")
+          for pair_order in ("input", "auto")]
+
+
+def _paths_digest(outcome) -> str:
+    text = repr([link.paths for link in outcome.solutions])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestSuffixMemo:
+    # nodes_explored per (order, pair_order); the search without the
+    # memo took 69,114 (input) and 56,403 (auto).
+    RAW_5X6_NODES = {
+        ("ascending", "input"): 18593,
+        ("ascending", "auto"): 26722,
+        ("min-degree", "input"): 18680,
+        ("min-degree", "auto"): 26724,
+    }
+
+    def test_raw_5x6_enumeration_matches_oracle(self):
+        inst = _raw_5x6()
+        want = [link.paths for link in brute_force_oracle(inst).solutions]
+        assert len(want) == 14884
+        for order, pair_order in ORDERS:
+            out = solve(inst, mode="enumerate_all", order=order, pair_order=pair_order)
+            assert [link.paths for link in out.solutions] == want
+            assert out.nodes_explored == self.RAW_5X6_NODES[order, pair_order]
+
+    def test_capped_counts_keep_their_solutions(self):
+        # The digest was recorded by the search without the memo: a cap
+        # keeps the solutions the search meets first, so replays must
+        # emit in the order the search would.  That search took 648,876
+        # nodes.
+        total, digests = 0, []
+        for inst in _capped_batch():
+            for order, pair_order in ORDERS:
+                for cap in (1, 2, 3, 7, 50, 400):
+                    out = solve(inst, mode="count_up_to", cap=cap,
+                                order=order, pair_order=pair_order)
+                    total += out.nodes_explored
+                    digests.append(_paths_digest(out))
+        got = hashlib.sha256(repr(digests).encode()).hexdigest()[:16]
+        assert (total, got) == (620006, "114082095792f879")
+
+    @pytest.mark.parametrize("pair_order", ["input", "auto"])
+    def test_min_degree_rank_outside_the_region(self, pair_order):
+        # Min-degree ranks t by its free neighbors, and two prefixes that
+        # leave pair 1 the same region differ in t's free neighbors
+        # outside it; keyed on the region alone, the replay would emit
+        # in the wrong order and the cap would keep other solutions.
+        edges = [(0, 1), (0, 6), (0, 12), (1, 2), (1, 7), (2, 3), (2, 4), (3, 8), (4, 5),
+                 (4, 9), (5, 6), (5, 10), (6, 9), (7, 12), (8, 9), (8, 12), (9, 11), (10, 12)]
+        inst = Instance.make(Graph.from_edges(13, edges), [(3, 5), (2, 0)])
+        out = solve(inst, mode="count_up_to", cap=5, order="min-degree", pair_order=pair_order)
+        assert [link.paths for link in out.solutions] == [
+            ((3, 8, 9, 4, 5), (2, 1, 0)),
+            ((3, 8, 9, 4, 5), (2, 1, 7, 12, 0)),
+            ((3, 8, 9, 6, 5), (2, 1, 0)),
+            ((3, 8, 12, 10, 5), (2, 1, 0)),
+            ((3, 8, 12, 10, 5), (2, 4, 9, 6, 0)),
+        ]
+
+    def test_min_degree_rank_across_a_dropped_edge(self):
+        # With the layout the search moves on the DP's edges, but
+        # min-degree still ranks a vertex by all its free neighbors,
+        # some of them outside the region across an edge the DP dropped.
+        graph, layout = make_grid(3, 5)
+        inst = Instance.make(graph, [(13, 3), (10, 1), (12, 2)], layout)
+        out = solve(inst, mode="count_up_to", cap=8, order="min-degree")
+        assert [link.paths for link in out.solutions] == [
+            ((13, 14, 9, 4, 3), (10, 5, 0, 1), (12, 7, 2)),
+            ((13, 14, 9, 4, 3), (10, 5, 0, 1), (12, 11, 6, 7, 2)),
+            ((13, 14, 9, 4, 3), (10, 5, 6, 1), (12, 7, 2)),
+            ((13, 14, 9, 4, 3), (10, 11, 6, 1), (12, 7, 2)),
+            ((13, 14, 9, 4, 3), (10, 11, 6, 5, 0, 1), (12, 7, 2)),
+            ((13, 14, 9, 8, 3), (10, 5, 0, 1), (12, 7, 2)),
+            ((13, 14, 9, 8, 3), (10, 11, 6, 1), (12, 7, 2)),
+            ((13, 14, 9, 8, 3), (10, 11, 6, 5, 0, 1), (12, 7, 2)),
+        ]
+
+    def test_deadline_inside_a_replay(self, monkeypatch):
+        # Only replays read the clock from complete(): let three of them
+        # pass, then put the deadline behind the fourth.
+        replays = []
+
+        def monotonic() -> float:
+            if sys._getframe(1).f_code.co_name == "complete":
+                replays.append(None)
+                return 1e9 if len(replays) > 3 else 0.0
+            return 0.0
+
+        monkeypatch.setattr(solver_module, "time", types.SimpleNamespace(monotonic=monotonic))
+        out = solve(_raw_5x6(), mode="enumerate_all", max_seconds=60.0)
+        assert len(replays) == 4
+        assert out.status == STATUS_ABORTED
+        assert 0 < len(out.solutions) < 14884
+
+    def test_replay_checks_the_closed_paths(self, monkeypatch):
+        # A key that confuses regions of the same size replays suffixes
+        # that meet the closed paths; the replay's check reports it as
+        # check_linkage() would.
+        def coarse_key(adj, rank_full, search_pairs, j, free, labels):
+            return (j, free.bit_count()), labels
+
+        monkeypatch.setattr(solver_module, "_suffix_key", coarse_key)
+        with pytest.raises(ValueError, match="paths share vertices"):
+            solve(_raw_5x6(), mode="enumerate_all")
