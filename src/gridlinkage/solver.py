@@ -240,12 +240,11 @@ def _check_closed(
 
 def _suffix_key(
     adj: list[int],
-    rank_full: list[int] | None,
     search_pairs: tuple[tuple[int, int], ...],
     j: int,
     free: int,
     labels: tuple[list[int], int],
-) -> tuple[tuple, tuple[list[int], int]]:
+) -> tuple[tuple[int, int], tuple[list[int], int]]:
     """The suffix-memo key of a pair-j subtree of solve(), and labels to
     hand on: free's components labels holds, plus those flooded here.
 
@@ -253,12 +252,7 @@ def _suffix_key(
     ends' neighborhoods of some pair >= j, holds every path of pairs
     j..last, so it fixes their solutions.  The components next to a
     pending s are labelled once its pair was tested; those of a pair with
-    adjacent ends may not be, and are flooded here.  rank_full is the
-    graph's adjacency when min-degree order decides which solutions a
-    cap keeps, else None.  Then the key also holds the free vertices
-    outside the region that a candidate's rank counts: the neighbors of
-    each t of pairs >= j, and those of region vertices across an edge
-    adj dropped.
+    adjacent ends may not be, and are flooded here.
     """
     comps, labelled = labels
     rest = search_pairs[j:]
@@ -278,19 +272,7 @@ def _suffix_key(
             if comp & adj[s] and comp & adj[t]:
                 region |= comp
                 break
-    if rank_full is None:
-        return (j, region), labels
-    near = 0
-    for _, t in rest:
-        near |= rank_full[t]
-    if adj is not rank_full:
-        m = region
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            near |= rank_full[v] & ~adj[v]
-            m ^= low
-    return (j, region, free & ~region & near), labels
+    return (j, region), labels
 
 
 ORDER_ASCENDING = "ascending"
@@ -384,19 +366,18 @@ def solve(
     stores the suffixes it emitted, in emission order: the solutions it
     added, whose paths j..last and their vertex mask are the suffixes.
     One that emitted none stores that too, so decide stops repeating
-    subtrees that failed.  The first pair-j subtree of a call gets no
-    key, since most small calls close each pair once.  On a hit the
-    stored suffixes are emitted after the closed paths, in their order,
-    in place of the subtree.  The ascending order ranks candidates by id
-    alone, so the search on any free set with region R meets those
-    suffixes in that order too.  Min-degree ranks them by all their free
-    neighbors, some outside R: those of each t >= j and those across an
-    edge the DP filter dropped.  So with a cap, where the order decides
-    which solutions are kept, those vertices join the key.  Each
-    replayed suffix is checked against the closed paths' vertex mask
-    (the suffix itself was checked when first emitted) and the deadline
-    is polled on the first suffix of every replay and every 4096 after
-    it.  nodes_explored counts only the nodes searched, so it drops; the
+    subtrees that failed.  On a hit the stored suffixes are emitted
+    after the closed paths, in their order, in place of the subtree.
+    The ascending order ranks candidates by id alone, so the search on
+    any free set with region R meets those suffixes in that order too.
+    Min-degree ranks them by all their free neighbors, some of them
+    outside R, so it may meet them in another order; that is harmless
+    when every solution is kept, but a cap keeps the first ones met, so
+    a capped min-degree search keeps no memo.  Each replayed suffix is
+    checked against the closed paths' vertex mask (the suffix itself
+    was checked when first emitted), and replays poll the deadline at
+    every 4096th suffix they emit, as the search does every 4096 nodes.
+    nodes_explored counts only the nodes searched, so it drops; the
     memo lives for one call.  A spanning search keeps no memo: its key
     would be the whole free set, which rarely repeats.
     """
@@ -481,16 +462,18 @@ def solve(
     # solutions found[first:end], or to () when it added none: each
     # found[i][j:] is a suffix, and found_masks[i] ^ prefix its vertex
     # mask, prefix being that of the paths before j.  opened holds (key,
-    # len(found) at its start) for each pair-j subtree being searched;
-    # bit j of keyed is set once a pair-j subtree was.
-    memo: dict[tuple, tuple[int, ...]] | None = (
-        {} if not require_spanning and last > 0 else None)
-    opened: list[tuple[tuple | None, int]] = []
-    keyed = 0
+    # len(found) at its start) for each pair-j subtree being searched.
+    # replayed counts the suffixes replays emitted, so that they poll
+    # the deadline as often as the search does.
+    memo: dict[tuple[int, int], tuple[int, ...]] | None = (
+        {} if not require_spanning and last > 0 and not (min_degree and cap) else None)
+    opened: list[tuple[tuple[int, int], int]] = []
+    replayed = 0
 
     def complete(free: int, entry: tuple[int, int, int] | None = None) -> None:
         # Emit the closed paths as a solution or, given a memo entry, the
         # closed paths followed by each suffix it holds.
+        nonlocal replayed
         if require_spanning and free:
             return
         # Each closed path is checked at the first emission that holds
@@ -508,8 +491,10 @@ def solve(
             # here it must only miss the closed paths.
             first, end, prefix = entry
             j = len(paths)
+            tick = replayed + 1 - first  # tick + i numbers the suffix from 1
+            replayed += end - first
             for i in range(first, end):
-                if not (i - first) & 4095 and time.monotonic() > deadline:
+                if not (tick + i) & 4095 and time.monotonic() > deadline:
                     raise _BudgetExhausted
                 mask = found_masks[i] ^ prefix
                 if used & mask:
@@ -680,11 +665,9 @@ def solve(
                                     # The pair-idx subtree finished below
                                     # the cap: keep what it emitted.
                                     key, first = opened.pop()
-                                    if key is not None:
-                                        end = len(found)
-                                        memo[key] = (
-                                            (first, end, used_masks[idx]) if end > first
-                                            else ())
+                                    end = len(found)
+                                    memo[key] = (
+                                        (first, end, used_masks[idx]) if end > first else ())
                                 done_paths.pop()
                                 used_masks.pop()
                         continue
@@ -737,22 +720,15 @@ def solve(
                     used_masks.append(None)
                     idx += 1
                     if memo is not None:
-                        if keyed >> idx & 1:
-                            key, labels = _suffix_key(
-                                adj, full if min_degree and cap else None,
-                                search_pairs, idx, free, labels)
-                            frame[4] = labels
-                            entry = memo.get(key)
-                            if entry is not None:
-                                if entry:
-                                    complete(free, entry)
-                                done_paths.pop()
-                                used_masks.pop()
-                                continue
-                        else:
-                            # The first pair-idx subtree gets no key.
-                            keyed |= 1 << idx
-                            key = None
+                        key, labels = _suffix_key(adj, search_pairs, idx, free, labels)
+                        frame[4] = labels
+                        entry = memo.get(key)
+                        if entry is not None:
+                            if entry:
+                                complete(free, entry)
+                            done_paths.pop()
+                            used_masks.pop()
+                            continue
                         opened.append((key, len(found)))
                     stale = 0
                     head = search_pairs[idx][0]

@@ -89,25 +89,25 @@ PINNED = [
     ("bottom-left", 1, "min-degree", "auto", False, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c", 20),
     ("bottom-left", 1, "min-degree", "auto", True, "decide", 8, 1, "6c6d3ee8eafd8e1c", 20),
     ("bottom-left", 1, "min-degree", "auto", True, "enumerate_all", 9, 1, "6c6d3ee8eafd8e1c", 20),
-    ("bottom-left", 2, "ascending", "input", False, "decide", 243, 1, "6e105fb5e878d798", 65),
-    ("bottom-left", 2, "ascending", "input", False, "enumerate_all", 638, 1, "6e105fb5e878d798",
+    ("bottom-left", 2, "ascending", "input", False, "decide", 241, 1, "6e105fb5e878d798", 65),
+    ("bottom-left", 2, "ascending", "input", False, "enumerate_all", 636, 1, "6e105fb5e878d798",
      65),
     ("bottom-left", 2, "ascending", "input", True, "decide", 175, 1, "6e105fb5e878d798", 65),
     ("bottom-left", 2, "ascending", "input", True, "enumerate_all", 361, 1, "6e105fb5e878d798",
      65),
-    ("bottom-left", 2, "ascending", "auto", False, "decide", 243, 1, "6e105fb5e878d798", 65),
-    ("bottom-left", 2, "ascending", "auto", False, "enumerate_all", 638, 1, "6e105fb5e878d798",
+    ("bottom-left", 2, "ascending", "auto", False, "decide", 241, 1, "6e105fb5e878d798", 65),
+    ("bottom-left", 2, "ascending", "auto", False, "enumerate_all", 636, 1, "6e105fb5e878d798",
      65),
     ("bottom-left", 2, "ascending", "auto", True, "decide", 175, 1, "6e105fb5e878d798", 65),
     ("bottom-left", 2, "ascending", "auto", True, "enumerate_all", 361, 1, "6e105fb5e878d798", 65),
     ("bottom-left", 2, "min-degree", "input", False, "decide", 188, 1, "6e105fb5e878d798", 65),
-    ("bottom-left", 2, "min-degree", "input", False, "enumerate_all", 638, 1, "6e105fb5e878d798",
+    ("bottom-left", 2, "min-degree", "input", False, "enumerate_all", 636, 1, "6e105fb5e878d798",
      65),
     ("bottom-left", 2, "min-degree", "input", True, "decide", 124, 1, "6e105fb5e878d798", 65),
     ("bottom-left", 2, "min-degree", "input", True, "enumerate_all", 361, 1, "6e105fb5e878d798",
      65),
     ("bottom-left", 2, "min-degree", "auto", False, "decide", 188, 1, "6e105fb5e878d798", 65),
-    ("bottom-left", 2, "min-degree", "auto", False, "enumerate_all", 638, 1, "6e105fb5e878d798",
+    ("bottom-left", 2, "min-degree", "auto", False, "enumerate_all", 636, 1, "6e105fb5e878d798",
      65),
     ("bottom-left", 2, "min-degree", "auto", True, "decide", 124, 1, "6e105fb5e878d798", 65),
     ("bottom-left", 2, "min-degree", "auto", True, "enumerate_all", 361, 1, "6e105fb5e878d798",
@@ -118,8 +118,10 @@ PINNED = [
 # A row's name holds the node count it was first pinned with, so that
 # re-pinning keeps the name; these rows' counts have dropped since.
 FIRST_PINNED_NODES = {
-    ("bottom-left", 2, order, pair_order, False, "enumerate_all"): 671
-    for order in ("ascending", "min-degree") for pair_order in ("input", "auto")
+    **{("bottom-left", 2, order, pair_order, False, "enumerate_all"): 671
+       for order in ("ascending", "min-degree") for pair_order in ("input", "auto")},
+    **{("bottom-left", 2, "ascending", pair_order, False, "decide"): 243
+       for pair_order in ("input", "auto")},
 }
 
 
@@ -261,15 +263,15 @@ SPLIT_PINNED = {
     "tree-False-decide-1725-56be01dd0c16ecda":
         ("tree", False, "decide", 1713, "7658865df3d1e00b"),
     "tree-False-enumerate_all-3349-41fec1d71e13e826":
-        ("tree", False, "enumerate_all", 3236, "67e141ff46c82423"),
+        ("tree", False, "enumerate_all", 3223, "67e141ff46c82423"),
     "tree-True-decide-330-2822a4c43dcc2066":
         ("tree", True, "decide", 330, "92894dc3f181e67d"),
     "tree-True-enumerate_all-330-2822a4c43dcc2066":
         ("tree", True, "enumerate_all", 330, "92894dc3f181e67d"),
     "grid-False-decide-1402-ec245fcf94420ca7":
-        ("grid", False, "decide", 1398, "659c196faf04c372"),
+        ("grid", False, "decide", 1402, "659c196faf04c372"),
     "grid-False-enumerate_all-105532-e2386517d57b70c9":
-        ("grid", False, "enumerate_all", 85380, "c997584519b747d8"),
+        ("grid", False, "enumerate_all", 84824, "c997584519b747d8"),
     "grid-True-decide-2885-51eded59daf875cd":
         ("grid", True, "decide", 2885, "a9510df6f2314697"),
     "grid-True-enumerate_all-3605-dbcaede5d40aa0ac":
@@ -357,13 +359,13 @@ def _pending_batch(family: str) -> list[tuple[Instance, tuple[int, ...], str, st
 #  named and split as SPLIT_PINNED is.
 PENDING_PINNED = {
     "grid-False-False-decide-6012-21fd8ef5efa13c6f":
-        ("grid", False, False, "decide", 5851, "fc8ff442f141c323"),
+        ("grid", False, False, "decide", 5996, "fc8ff442f141c323"),
     "grid-False-False-enumerate_all-23804-abd2c34f037a3c08":
-        ("grid", False, False, "enumerate_all", 15295, "4c41aac8b0e2da23"),
+        ("grid", False, False, "enumerate_all", 15225, "4c41aac8b0e2da23"),
     "grid-False-True-decide-924-f611e4c669f345a7":
         ("grid", False, True, "decide", 924, "8211c407b3cf1c21"),
     "grid-False-True-enumerate_all-2871-9621a82f779e851c":
-        ("grid", False, True, "enumerate_all", 2095, "728b315e032ccf0a"),
+        ("grid", False, True, "enumerate_all", 2056, "728b315e032ccf0a"),
     "grid-True-False-decide-2540-3f6725bb19962f29":
         ("grid", True, False, "decide", 2540, "8e11ce1360b587ef"),
     "grid-True-False-enumerate_all-3227-e10cd0ac198ca7c3":
@@ -375,11 +377,11 @@ PENDING_PINNED = {
     "sparse-False-False-decide-288-b0ed5723ddc3059f":
         ("sparse", False, False, "decide", 288, "db81b8598b6234da"),
     "sparse-False-False-enumerate_all-876-c1f1176e83813862":
-        ("sparse", False, False, "enumerate_all", 719, "ebe7be66c8340570"),
+        ("sparse", False, False, "enumerate_all", 698, "ebe7be66c8340570"),
     "sparse-False-True-decide-135-8241fd10ca94721e":
         ("sparse", False, True, "decide", 135, "0555c5cfc2fdd50d"),
     "sparse-False-True-enumerate_all-271-7c589943bc140a97":
-        ("sparse", False, True, "enumerate_all", 231, "718251baeaf290d7"),
+        ("sparse", False, True, "enumerate_all", 216, "718251baeaf290d7"),
     "sparse-True-False-decide-151-f9feaffc5950d86c":
         ("sparse", True, False, "decide", 151, "46c247916e72fe48"),
     "sparse-True-False-enumerate_all-159-2bc26e1749fbfd1e":

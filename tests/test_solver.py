@@ -583,10 +583,10 @@ class TestSuffixMemo:
     # nodes_explored per (order, pair_order); the search without the
     # memo took 69,114 (input) and 56,403 (auto).
     RAW_5X6_NODES = {
-        ("ascending", "input"): 18593,
-        ("ascending", "auto"): 26722,
-        ("min-degree", "input"): 18680,
-        ("min-degree", "auto"): 26724,
+        ("ascending", "input"): 18587,
+        ("ascending", "auto"): 26487,
+        ("min-degree", "input"): 18586,
+        ("min-degree", "auto"): 26489,
     }
 
     def test_raw_5x6_enumeration_matches_oracle(self):
@@ -601,8 +601,8 @@ class TestSuffixMemo:
     def test_capped_counts_keep_their_solutions(self):
         # The digest was recorded by the search without the memo: a cap
         # keeps the solutions the search meets first, so replays must
-        # emit in the order the search would.  That search took 648,876
-        # nodes.
+        # emit in the order the search would, and capped min-degree
+        # searches keep no memo.  That search took 648,876 nodes.
         total, digests = 0, []
         for inst in _capped_batch():
             for order, pair_order in ORDERS:
@@ -612,14 +612,14 @@ class TestSuffixMemo:
                     total += out.nodes_explored
                     digests.append(_paths_digest(out))
         got = hashlib.sha256(repr(digests).encode()).hexdigest()[:16]
-        assert (total, got) == (620006, "114082095792f879")
+        assert (total, got) == (630800, "114082095792f879")
 
     @pytest.mark.parametrize("pair_order", ["input", "auto"])
     def test_min_degree_rank_outside_the_region(self, pair_order):
         # Min-degree ranks t by its free neighbors, and two prefixes that
         # leave pair 1 the same region differ in t's free neighbors
-        # outside it; keyed on the region alone, the replay would emit
-        # in the wrong order and the cap would keep other solutions.
+        # outside it; a replay keyed on the region would emit in the
+        # wrong order and the cap would keep other solutions.
         edges = [(0, 1), (0, 6), (0, 12), (1, 2), (1, 7), (2, 3), (2, 4), (3, 8), (4, 5),
                  (4, 9), (5, 6), (5, 10), (6, 9), (7, 12), (8, 9), (8, 12), (9, 11), (10, 12)]
         inst = Instance.make(Graph.from_edges(13, edges), [(3, 5), (2, 0)])
@@ -635,7 +635,8 @@ class TestSuffixMemo:
     def test_min_degree_rank_across_a_dropped_edge(self):
         # With the layout the search moves on the DP's edges, but
         # min-degree still ranks a vertex by all its free neighbors,
-        # some of them outside the region across an edge the DP dropped.
+        # some of them outside the region across an edge the DP dropped,
+        # so a region-keyed replay would again emit in another order.
         graph, layout = make_grid(3, 5)
         inst = Instance.make(graph, [(13, 3), (10, 1), (12, 2)], layout)
         out = solve(inst, mode="count_up_to", cap=8, order="min-degree")
@@ -651,19 +652,20 @@ class TestSuffixMemo:
         ]
 
     def test_deadline_inside_a_replay(self, monkeypatch):
-        # Only replays read the clock from complete(): let three of them
-        # pass, then put the deadline behind the fourth.
+        # Replays read the clock from complete() at every 4096th suffix
+        # they emit; this enumeration replays over 12,288, so let two
+        # polls pass, then put the deadline behind the third.
         replays = []
 
         def monotonic() -> float:
             if sys._getframe(1).f_code.co_name == "complete":
                 replays.append(None)
-                return 1e9 if len(replays) > 3 else 0.0
+                return 1e9 if len(replays) > 2 else 0.0
             return 0.0
 
         monkeypatch.setattr(solver_module, "time", types.SimpleNamespace(monotonic=monotonic))
         out = solve(_raw_5x6(), mode="enumerate_all", max_seconds=60.0)
-        assert len(replays) == 4
+        assert len(replays) == 3
         assert out.status == STATUS_ABORTED
         assert 0 < len(out.solutions) < 14884
 
@@ -671,7 +673,7 @@ class TestSuffixMemo:
         # A key that confuses regions of the same size replays suffixes
         # that meet the closed paths; the replay's check reports it as
         # check_linkage() would.
-        def coarse_key(adj, rank_full, search_pairs, j, free, labels):
+        def coarse_key(adj, search_pairs, j, free, labels):
             return (j, free.bit_count()), labels
 
         monkeypatch.setattr(solver_module, "_suffix_key", coarse_key)
