@@ -17,7 +17,7 @@ by calibrate_arc_rule(), which runs linkage_checks() on the small
 instances and keeps the unique candidate passing them all.  The result
 of that calibration is frozen in CALIBRATED_ARC_RULE_ID and
 CALIBRATED_S0_PLACEMENT; the test suite re-derives it from scratch,
-for k <= 3.
+for k <= 4.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def candidate_arc_rules() -> tuple[ArcRule, ...]:
     )
 
 
-# Pinned by calibrate_arc_rule(3); regenerated and asserted by the test
+# Pinned by calibrate_arc_rule(4); regenerated and asserted by the test
 # suite, and used as defaults by the command line front end.
 CALIBRATED_ARC_RULE_ID = "pow2"
 CALIBRATED_S0_PLACEMENT = S0_BOTTOM_LEFT

@@ -38,17 +38,50 @@ frontier to one column plus one vertex; without one they enter
 greedily, each next vertex the one with the most neighbours already
 placed.  Budgets bound the run, and at a budget the answer is
 "aborted", never a guess.
+
+On a layout of at least PRUNE_MIN_ROWS rows two prunes drop states
+that no completion reaches; the count without a layout, which runs
+neither, stays the independent reference.
+
+- Degree: under require_spanning a non-terminal still at degree 0
+  with one undecided edge left can never reach degree 2.
+- Non-crossing completion.  The test runs at a step where the layout
+  draws the graph without crossings (lattice edges, and nested arcs
+  outside the border), the frontier has at most one vertex per row,
+  and every undecided edge at a frontier vertex is a unit lattice
+  edge; a bypass arc with one endpoint entered turns it off.  A curve
+  through the frontier vertices in row order, closed around the
+  decided part, then bounds a disc that holds every undecided vertex
+  and edge, since the arcs still to come lie outside the border beyond
+  the frontier's columns.  Disjoint paths inside a disc that join
+  points of its boundary cannot cross (Robertson and Seymour, "Graph
+  Minors VI. Disjoint paths across a disc", 1986; the connectivity
+  rule of transfer matrices, Jacobsen, J. Phys. A 40, 2007).  So the
+  test reads a state's open ends top to bottom: a terminal at degree
+  0 is an end with its pair label, an end of a fragment carries its
+  label or its mate, and a non-terminal at degree 0 is no end.  A
+  terminal still to come may sit anywhere in the disc, so an end may
+  run to it freely, one end per such terminal.  The state survives
+  when the other ends pair up in a nested matching that, glued to the
+  fragments already built, joins each pair's two terminals and closes
+  no cycle.  The verdict depends on the ends alone and is cached on
+  them for the run.
+
+A pruned state has no completion, and every state a completion passes
+through has one, so no count, witness or merged set changes: only
+nodes and peak_states drop.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterable
 
 from .bitsets import iter_bits
-from .graphs import Edge
+from .graphs import Edge, Graph, is_planar_certificate
 from .solver import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_BUDGET,
@@ -63,10 +96,18 @@ from .solver import (
 # Live states allowed in a step's output; past it the count is aborted,
 # so memory stays bounded whatever the budgets say.  A state costs about
 # 0.5 KB (tuple, dict entry, count, witness), and a step holds its input
-# and its output, so a run stays near 100 MB.  The calibrated k = 3
-# instance peaks at a few hundred states; the k = 4 one reaches the cap,
-# which solve() then meets before it searches on every edge.
+# and its output, so a run stays near 100 MB.  With the prunes the
+# calibrated k = 4 instance peaks at 4,801 states; the k = 5 one reaches
+# the cap inside its first column, and solve() then searches on every
+# edge.
 MAX_STATES = 100_000
+
+# Layouts with fewer rows are counted without the prunes.  Their
+# frontier holds at most six vertices, so a count expands a few hundred
+# states at most, and setting the prunes up costs more than they save:
+# about as much again as the whole count on the k = 1 and k = 2
+# instances, where they remove no state without require_spanning.
+PRUNE_MIN_ROWS = 6
 
 # The slot values of a state; a value below DONE is a pair label
 # -(i + 1), a value above it is the mate slot j + 2.
@@ -105,11 +146,21 @@ class _Abort(Exception):
         self.limit = limit
 
 
+# A step's prunes: the slots of the non-terminals it leaves with one
+# undecided edge (require_spanning only); the frontier slots top to
+# bottom, each with its vertex's label, or None where the non-crossing
+# test does not run; and the terminals still to come as ((label, how
+# many), ...).
+_Check = tuple[tuple[int, ...], tuple[tuple[int, int], ...] | None,
+               tuple[tuple[int, int], ...] | None]
 # One edge step: the edge (u, v) with u < v, the step's own bit, its
 # two vertices as a bitmask, the slots of u and v, their labels (the
-# pair label of a terminal, _FREE for any other vertex) and the vertices
-# whose last edge it is, as (slot, may leave with degree 0).
-_Step = tuple[tuple[int, int], int, int, int, int, int, int, tuple[tuple[int, bool], ...]]
+# pair label of a terminal, _FREE for any other vertex), the vertices
+# whose last edge it is, as (slot, may leave with degree 0), and the
+# prunes for the states whose open ends are those of the state they
+# came from and for the others, each None when none applies.
+_Step = tuple[tuple[int, int], int, int, int, int, int, int, tuple[tuple[int, bool], ...],
+              _Check | None, _Check | None]
 
 
 def _order(instance: Instance) -> list[int]:
@@ -143,6 +194,33 @@ def _order(instance: Instance) -> list[int]:
     return order
 
 
+def _planar_cells(instance: Instance) -> tuple[dict[int, tuple[int, int]], set[Edge]] | None:
+    """The layout's cells and the edges that are not unit lattice edges,
+    when every vertex has a cell of its own and the layout draws the
+    graph without crossings (those edges as nested arcs outside the
+    border, as graphs.is_planar_certificate checks); otherwise, and
+    without a layout, None."""
+    layout = instance.layout
+    n = instance.graph.vertex_count
+    if layout is None or not n:
+        return None
+    cells = layout.cells
+    rows, cols = zip(*cells.values())
+    if (cells.keys() != set(range(n)) or len(set(cells.values())) != n
+            or min(rows) < 1 or max(rows) > layout.rows
+            or min(cols) < 1 or max(cols) > layout.cols):
+        return None
+    arcs = set()
+    for u, w in instance.graph.edges:
+        (r, c), (q, d) = cells[u], cells[w]
+        if abs(r - q) + abs(c - d) != 1:
+            arcs.add((u, w))
+    # Lattice edges always pass the certificate, so it need only see the arcs.
+    if not is_planar_certificate(Graph(n, frozenset(arcs)), layout):
+        return None
+    return cells, arcs
+
+
 def _schedule(
     instance: Instance, require_spanning: bool, blocked: int
 ) -> tuple[list[_Step], int] | None:
@@ -152,6 +230,13 @@ def _schedule(
     its last edge.  The edges of blocked vertices are left out.  Returns
     None when a vertex every linkage must use has no edges: a terminal,
     or under require_spanning any vertex not blocked.
+
+    On a layout of at least PRUNE_MIN_ROWS rows each step also carries
+    its prunes (see the module docstring): under require_spanning the
+    non-terminals the step leaves with one undecided edge, and, where
+    the layout draws the graph without crossings, the frontier has at
+    most one vertex per row and every undecided edge at it is a unit
+    lattice edge, the frontier in row order for the non-crossing test.
     """
     graph = instance.graph
     n = graph.vertex_count
@@ -177,6 +262,37 @@ def _schedule(
     free_slots: list[int] = []
     width = 0
     steps: list[_Step] = []
+    # The count without a layout stays the reference: no prune there.
+    pruned = instance.layout is not None and instance.layout.rows >= PRUNE_MIN_ROWS
+    remaining = [len(adjacency[v]) for v in range(n)] if pruned and require_spanning else []
+    wild = None
+    planar = _planar_cells(instance) if pruned else None
+    if planar is not None:
+        # arcs[v] counts v's undecided edges that are not unit lattice
+        # edges, arced the frontier vertices with one, crowded the rows
+        # with more than one frontier vertex.
+        cells, arc_edges = planar
+        arcs = [0] * n
+        for u, w in arc_edges:
+            if not (blocked >> u | blocked >> w) & 1:
+                arcs[u] += 1
+                arcs[w] += 1
+        arced = crowded = 0
+        row_of = [cells[v][0] for v in range(n)]
+        by_row: list[list[int]] = [[] for _ in range(instance.layout.rows + 1)]
+        slot_label: list[tuple[int, int]] = [(0, 0)] * n
+        to_come: dict[int, int] = {}
+        for v in range(n):
+            if label[v]:
+                to_come[label[v]] = to_come.get(label[v], 0) + 1
+        wild = tuple(sorted(to_come.items()))
+    # Whether the states of the last step passed the non-crossing test
+    # and no terminal has entered since.  A state that then leaves out
+    # the next edge, or takes it to extend one end, has the same ends in
+    # the same row order as the state it came from, and passes as well.
+    # (Extending an end along an arc would move it past others, but an
+    # arc is decided only after a step at which it was pending.)
+    tested = False
     for v in order:
         if not adjacency[v]:
             continue
@@ -185,15 +301,55 @@ def _schedule(
         else:
             slot[v] = width
             width += 1
+        if planar is not None:
+            slot_label[v] = (slot[v], label[v])
+            row = by_row[row_of[v]]
+            row.append(v)
+            if len(row) == 2:
+                crowded += 1
+            if arcs[v]:
+                arced += 1
+            if label[v]:
+                to_come[label[v]] -= 1
+                wild = tuple(sorted((x, k) for x, k in to_come.items() if k))
+                tested = False
         back = sorted((position[u], u) for u in adjacency[v] if position[u] < position[v])
         gone_here: list[int] = []
         for j, (_, u) in enumerate(back):
             gone = [u] if last[u] == position[v] else []
             if j == len(back) - 1 and last[v] < position[v]:
                 gone.append(v)
-            steps.append(((u, v) if u < v else (v, u), 1 << len(steps), 1 << u | 1 << v,
+            edge = (u, v) if u < v else (v, u)
+            same_check = new_check = None
+            if pruned:
+                thin = ()
+                if require_spanning:
+                    remaining[u] -= 1
+                    remaining[v] -= 1
+                    thin = tuple(slot[w] for w in (u, v) if remaining[w] == 1 and not label[w])
+                rows = None
+                if planar is not None:
+                    if edge in arc_edges:
+                        arcs[u] -= 1
+                        arcs[v] -= 1
+                        arced -= (arcs[u] == 0) + (arcs[v] == 0)
+                    for w in gone:
+                        row = by_row[row_of[w]]
+                        if len(row) == 2:
+                            crowded -= 1
+                        row.remove(w)
+                    if not arced and not crowded:
+                        # Top to bottom; an empty frontier has nothing to test.
+                        rows = tuple(map(slot_label.__getitem__,
+                                         itertools.chain.from_iterable(reversed(by_row)))) or None
+                degree_only = (thin, None, wild) if thin else None
+                new_check = (thin, rows, wild) if rows else degree_only
+                same_check = degree_only if tested else new_check
+                tested = rows is not None
+            steps.append((edge, 1 << len(steps), 1 << u | 1 << v,
                           slot[u], slot[v], label[u], label[v],
-                          tuple((slot[w], not must_use[w]) for w in gone)))
+                          tuple((slot[w], not must_use[w]) for w in gone),
+                          same_check, new_check))
             gone_here.extend(gone)
         # Highest first, so pop() hands out the lowest free slot.
         free_slots.extend(slot[w] for w in gone_here)
@@ -244,14 +400,20 @@ def count_linkages(
     counts: dict[tuple[int, ...], list] = {root: [1, None, 0, 0]}
     nodes = 0
     peak = 1
+    # Non-crossing verdicts by the ends read, for the whole run, and the
+    # states a step's prunes dropped, for that step.
+    verdicts: dict[tuple, bool] = {}
+    dead: set[tuple[int, ...]] = set()
     try:
-        for edge, step_bit, bits, a, b, la, lb, leaving in steps:
+        for edge, step_bit, bits, a, b, la, lb, leaving, same_check, new_check in steps:
             if time.monotonic() > deadline:
                 raise _Abort("seconds")
             if nodes + len(counts) > max_nodes:
                 raise _Abort("nodes")
             next_counts: dict[tuple[int, ...], list] = {}
             get = next_counts.get
+            if dead:
+                dead.clear()
             for state, (c, first, used, some) in counts.items():
                 nodes += 1
                 if not nodes & 4095:
@@ -265,7 +427,8 @@ def count_linkages(
                 if child is not None:
                     entry = get(child)
                     if entry is None:
-                        next_counts[child] = [c, first, used, some]
+                        if same_check is None or _alive(child, same_check, verdicts, dead):
+                            next_counts[child] = [c, first, used, some]
                     else:
                         entry[0] += c
                         entry[2] &= used
@@ -307,7 +470,12 @@ def count_linkages(
                     used |= bits
                     some |= step_bit
                     if entry is None:
-                        next_counts[child] = [c, (edge, first), used, some]
+                        # Extending one end keeps the ends; joining two
+                        # or opening a fragment changes them.
+                        if new_check is None or _alive(
+                                child, same_check if (x == _FREE) != (y == _FREE) else new_check,
+                                verdicts, dead):
+                            next_counts[child] = [c, (edge, first), used, some]
                     else:
                         entry[0] += c
                         entry[2] &= used
@@ -326,6 +494,140 @@ def count_linkages(
     used_by_some = frozenset(steps[i][0] for i in iter_bits(some))
     return LinkageCount(STATUS_SOLVABLE, total, _witness(instance, chain),
                         frozenset(iter_bits(used)), used_by_some, nodes, peak)
+
+
+def _alive(state: tuple[int, ...], check: _Check | None, verdicts: dict[tuple, bool],
+           dead: set[tuple[int, ...]]) -> bool:
+    """Whether state survives the step's prunes (None: no prune); dead
+    holds the states of this step that did not."""
+    if check is None:
+        return True
+    if state in dead:
+        return False
+    thin, rows, wild = check
+    for j in thin:
+        if state[j] == _FREE:
+            dead.add(state)
+            return False
+    if rows is not None:
+        key = (_ends(state, rows), wild)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = _completable(*key)
+        if not verdict:
+            dead.add(state)
+            return False
+    return True
+
+
+def _ends(state: tuple[int, ...], rows: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The open ends of state top to bottom: each is a pair label, or,
+    for an end of a fragment without a terminal, the index of its mate
+    among the ends."""
+    ends: list[int] = []
+    waiting: dict[int, int] = {}
+    for j, term in rows:
+        value = state[j]
+        if value < _FREE:
+            ends.append(value)
+        elif value > _DONE:
+            mate = waiting.pop(value - 2, None)
+            if mate is None:
+                waiting[j] = len(ends)
+                ends.append(0)  # set when the mate is read
+            else:
+                ends[mate] = len(ends)
+                ends.append(mate)
+        elif value == _FREE and term:
+            ends.append(term)  # a terminal still waiting for its edge
+    return tuple(ends)
+
+
+def _completable(ends: tuple[int, ...], wild: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the open ends can be completed on the undecided side.
+
+    Each end is joined to another end or to a terminal still to come
+    (wild holds how many each pair has).  Paths between ends must not
+    cross, so the ends that pair up form a nested matching in row
+    order, built with a stack.  Glued to the fragments already built,
+    every path must run between the two terminals of one pair, and no
+    fragment may close on itself.
+    """
+    left = dict(wild)
+    if all(end < 0 for end in ends):
+        # Every end holds a terminal: one whose pair has a terminal to
+        # come runs to it, the two ends of any other pair must join, and
+        # those joins must nest.
+        stack: list[int] = []
+        for end in ends:
+            if end in left:
+                continue
+            if stack and stack[-1] == end:
+                stack.pop()
+            else:
+                stack.append(end)
+        return not stack
+    return _settle(0, list(ends), [], left, set())
+
+
+def _settle(i: int, ident: list[int], stack: list[int], left: dict[int, int],
+            failed: set[tuple]) -> bool:
+    """Whether ends i.. can be settled, with the ends on stack still open
+    (innermost last).  ident holds each end's label or the index of the
+    other end of its fragment, left the terminals still to come per
+    label, and failed the canonical positions already refuted."""
+    n = len(ident)
+    if len(stack) > n - i:
+        return False  # each open end needs a later end to join
+    if i == n:
+        return True
+    # The open ends by stack position, the rest by offset.
+    at = {j: p for p, j in enumerate(stack)}
+    shift = len(stack) - i
+    key = (i, *left.values(), *(y if y < 0 else at[y] if y < i else y + shift
+                                 for y in [ident[j] for j in stack] + ident[i:]))
+    if key in failed:
+        return False
+    x = ident[i]
+    if stack:
+        # Join end i to the innermost open end j.
+        j = stack.pop()
+        y = ident[j]
+        if x < 0 and y < 0:
+            joined = x == y
+        else:
+            joined = x != j  # j is i's own mate: the join closes a cycle
+        if joined:
+            if x >= 0:
+                ident[x] = y
+            if y >= 0:
+                ident[y] = x
+            if _settle(i + 1, ident, stack, left, failed):
+                return True
+            if x >= 0:
+                ident[x] = i
+            if y >= 0:
+                ident[y] = j
+        stack.append(j)
+    # Leave end i open for a later end.
+    stack.append(i)
+    if _settle(i + 1, ident, stack, left, failed):
+        return True
+    stack.pop()
+    # Run end i to a terminal still to come.
+    for label, count in left.items():
+        if count and (x == label or x >= 0):
+            left[label] = count - 1
+            if x >= 0:
+                ident[x] = label
+            found = _settle(i + 1, ident, stack, left, failed)
+            left[label] = count
+            if x >= 0:
+                ident[x] = i
+            if found:
+                return True
+    failed.add(key)
+    return False
 
 
 def _witness(instance: Instance, chain: tuple | None) -> Linkage:

@@ -169,12 +169,17 @@ class TestCalibration:
         assert len(exc.value.reports) == 3
         assert all(r.violations for r in exc.value.reports)
 
+    def test_k4_calibration_passes(self):
+        result = calibrate_arc_rule(4)
+        assert (result.rule.identifier, result.s0_placement) == ("pow2", S0_BOTTOM_LEFT)
+        assert [r.passed for r in result.reports].count(True) == 1
+
     def test_one_deadline_for_the_whole_calibration(self):
-        # No k = 4 count finishes in 0.3 s; the nine candidates share
+        # No k = 5 count finishes in 0.3 s; the nine candidates share
         # that deadline instead of taking 0.3 s each.
         start = time.monotonic()
         with pytest.raises(CalibrationError):
-            calibrate_arc_rule(4, max_seconds=0.3)
+            calibrate_arc_rule(5, max_seconds=0.3)
         assert time.monotonic() - start < 1.0
 
     def test_bad_k_max(self):
@@ -190,7 +195,7 @@ class TestCalibration:
 
 class TestCheckBattery:
     def test_calibrated_instance_passes_every_check(self):
-        for k in (2, 3):
+        for k in (2, 3, 4):
             start = time.monotonic()
             rows = verify_instance(build_instance(k, s0_placement=S0_BOTTOM_LEFT))
             assert time.monotonic() - start < 1.0
@@ -218,9 +223,9 @@ class TestCheckBattery:
         assert [verdict for _, verdict, _ in rows] == ["INDETERMINATE"] * 4
 
     def test_one_deadline_for_the_whole_battery(self):
-        # The k = 4 count cannot finish in a second; every row, the
+        # The k = 5 count cannot finish in a second; every row, the
         # irrelevant-vertex row too, then reads INDETERMINATE at once.
-        instance = build_instance(4)
+        instance = build_instance(5)
         start = time.monotonic()
         rows = verify_instance(instance, max_seconds=1.0)
         assert time.monotonic() - start < 1.5

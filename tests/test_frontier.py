@@ -10,13 +10,23 @@ budget or the state cap ends a run as aborted, never as a count.
 solve() on an instance with a grid layout searches only the edges the
 count says some linkage uses; it must return what the search on the
 same graph without the layout returns, in the same order.
+
+On a layout the count prunes states that no completion reaches; with
+the prunes run on every layout it must return exactly what it returns
+with none, and the layout-stripped count stays the independent
+reference.
 """
+
+import random
+import sys
 
 import pytest
 
 from gridlinkage import (
     S0_BOTTOM_LEFT,
+    S0_BOTTOM_RIGHT,
     S0_PLACEMENTS,
+    S0_TOP_RIGHT,
     STATUS_ABORTED,
     STATUS_SOLVABLE,
     STATUS_UNSOLVABLE,
@@ -27,17 +37,20 @@ from gridlinkage import (
     check_linkage,
     count_linkages,
     irrelevant_vertices,
+    make_grid,
     random_batch,
+    rule_by_identifier,
     solve,
     verify_instance,
 )
 from gridlinkage import frontier
 from gridlinkage.construction import linkage_checks
+from gridlinkage.graphs import grid_vertex_id
 
 
-def candidates():
-    """Every buildable arc rule x s0 placement instance for k <= 2."""
-    for k in (1, 2):
+def candidates(ks=(1, 2)):
+    """Every buildable arc rule x s0 placement instance for k in ks."""
+    for k in ks:
         for placement in S0_PLACEMENTS:
             for rule in candidate_arc_rules():
                 try:
@@ -119,7 +132,7 @@ class TestCounts:
     def test_k3_has_one_linkage(self):
         instance = build_instance(3, s0_placement=S0_BOTTOM_LEFT)
         result = count_linkages(instance)
-        assert (result.count, result.nodes, result.peak_states) == (1, 31048, 448)
+        assert (result.count, result.nodes, result.peak_states) == (1, 167, 9)
         check_linkage(instance, result.witness.paths, require_spanning=True)
         assert result.used_by_all == result.witness.vertices()
         assert result.used_by_some == edges_of(result.witness)
@@ -142,13 +155,177 @@ class TestBudgets:
 
     def test_state_cap_bounds_memory(self, monkeypatch):
         # A step at most doubles the live states, so a run never holds
-        # more than twice the cap.
+        # more than twice the cap.  The k = 4 count peaks at 4,801 states.
         monkeypatch.setattr(frontier, "MAX_STATES", 100)
-        instance = build_instance(3, s0_placement=S0_BOTTOM_LEFT)
+        instance = build_instance(4, s0_placement=S0_BOTTOM_LEFT)
         result = count_linkages(instance)
         self.assert_aborted(result, "states")
         assert 100 < result.peak_states <= 200
         assert {verdict for _, verdict, _ in linkage_checks(instance)} == {"INDETERMINATE"}
+
+
+def answer(result):
+    return (result.status, result.count, result.witness, result.used_by_all,
+            result.used_by_some)
+
+
+def plain_and_pruned(monkeypatch, instance, **settings):
+    """The count with no prune and with the prunes on every layout; both
+    sweep the layout column by column."""
+    monkeypatch.setattr(frontier, "PRUNE_MIN_ROWS", sys.maxsize)
+    plain = count_linkages(instance, **settings)
+    monkeypatch.setattr(frontier, "PRUNE_MIN_ROWS", 1)
+    pruned = count_linkages(instance, **settings)
+    monkeypatch.undo()
+    assert plain.status != STATUS_ABORTED
+    return plain, pruned
+
+
+def random_grid_rows(seed, count):
+    """Grids of 2x3 to 6x7 with nested bypass arcs in the first and last
+    columns and one to four pairs of border terminals."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(2, 6), rng.randint(3, 7)
+        graph, layout = make_grid(rows, cols)
+        edges = set(graph.edges)
+        for col in (1, cols):
+            spans = []
+            for _ in range(rng.randint(0, 3)):
+                a, b = sorted(rng.sample(range(1, rows + 1), 2))
+                if b - a > 1 and not any(a < c < b < d or c < a < d < b for c, d in spans):
+                    spans.append((a, b))
+                    edges.add((grid_vertex_id(a, col, cols), grid_vertex_id(b, col, cols)))
+        border = [v for v in range(rows * cols) if not layout.is_inner(v)]
+        ends = rng.sample(border, 2 * rng.randint(1, min(4, len(border) // 2)))
+        pairs = list(zip(ends[::2], ends[1::2]))
+        yield Instance.make(Graph.from_edges(rows * cols, edges), pairs, layout)
+
+
+def motzkin(n):
+    """The Motzkin number M_n, from its recurrence."""
+    m = [1, 1]
+    for i in range(2, n + 1):
+        m.append(((2 * i + 1) * m[i - 1] + (3 * i - 3) * m[i - 2]) // (i + 2))
+    return m[n]
+
+
+class TestPrunes:
+    """The degree prune and the non-crossing test drop only states with
+    no completion: every answer equals the count without them."""
+
+    def test_every_candidate_at_k_up_to_3(self, monkeypatch):
+        plain_nodes = pruned_nodes = 0
+        for instance in candidates((1, 2, 3)):
+            for spanning in (False, True):
+                plain, pruned = plain_and_pruned(monkeypatch, instance,
+                                                 require_spanning=spanning)
+                assert answer(pruned) == answer(plain)
+                assert pruned.peak_states <= plain.peak_states
+                plain_nodes += plain.nodes
+                pruned_nodes += pruned.nodes
+                if instance.construction_k() < 3:
+                    # The greedy order fills MAX_STATES on the k = 3 graphs.
+                    reference = count_linkages(stripped(instance), require_spanning=spanning)
+                    assert (pruned.count, pruned.used_by_all, pruned.used_by_some) == (
+                        reference.count, reference.used_by_all, reference.used_by_some)
+        assert (plain_nodes, pruned_nodes) == (1_031_057, 8_719)
+
+    def test_blocked_vertices(self, monkeypatch):
+        for instance in candidates():
+            for blocked in blockings(instance):
+                for spanning in (False, True):
+                    plain, pruned = plain_and_pruned(monkeypatch, instance, blocked=blocked,
+                                                     require_spanning=spanning)
+                    assert answer(pruned) == answer(plain)
+
+    def test_random_grid_rows(self, monkeypatch):
+        plain_nodes = pruned_nodes = compared = 0
+        for instance in random_grid_rows(16, 200):
+            for spanning in (False, True):
+                plain, pruned = plain_and_pruned(monkeypatch, instance,
+                                                 require_spanning=spanning)
+                assert answer(pruned) == answer(plain)
+                plain_nodes += plain.nodes
+                pruned_nodes += pruned.nodes
+                # The layout-stripped count is the independent reference.
+                # Its greedy order needs more than this budget on a few
+                # rows, which then rest on the plain count alone.
+                reference = count_linkages(stripped(instance), max_nodes=100_000,
+                                           require_spanning=spanning)
+                if reference.status != STATUS_ABORTED:
+                    compared += 1
+                    assert (pruned.count, pruned.used_by_all, pruned.used_by_some) == (
+                        reference.count, reference.used_by_all, reference.used_by_some)
+        assert compared >= 390
+        assert (plain_nodes, pruned_nodes) == (478_464, 367_024)
+
+    def test_motzkin_counts(self):
+        # Top-right counts M_(2^k+1) and bottom-right counts M_(2^k)
+        # linkages.  No count reaches k = 4 without the prunes.
+        pow2 = rule_by_identifier("pow2")
+        for k in (1, 2, 3, 4):
+            for placement, n in ((S0_TOP_RIGHT, 2**k + 1), (S0_BOTTOM_RIGHT, 2**k)):
+                assert count_linkages(build_instance(k, pow2, placement)).count == motzkin(n)
+        assert [motzkin(n) for n in (16, 17)] == [853467, 2356779]
+
+    def test_a_free_terminal_is_an_end(self):
+        # A terminal still at degree 0 is an end with its own pair label;
+        # read as no end, it leaves its partner's end unmatched and the one
+        # linkage is pruned.
+        assert count_linkages(build_instance(3, s0_placement=S0_BOTTOM_LEFT)).count == 1
+
+    def test_a_free_non_terminal_is_no_end(self, monkeypatch):
+        # A label is tested with < _FREE.  _FREE (0) lies below _DONE (1),
+        # so a test written < _DONE, like one that reads every free slot as
+        # an end, takes each unused non-terminal for an end and prunes all
+        # four linkages.
+        monkeypatch.setattr(frontier, "PRUNE_MIN_ROWS", 1)
+        assert count_linkages(build_instance(1)).count == 4
+
+    @pytest.mark.parametrize("ends,wild,verdict", [
+        ((), (), True),
+        ((-1, -2), (), False),  # two pairs, no terminal to come
+        ((-1, -2), ((-1, 1), (-2, 1)), True),
+        ((-1, -2, -1, -2), (), False),  # the joins would cross
+        ((-1, -2, -2, -1), (), True),
+        ((1, 0), (), False),  # a fragment without terminals closes on itself
+        ((1, 0), ((-1, 2),), True),  # it runs between pair 1's two terminals
+        ((1, 0), ((-1, 1),), False),  # one terminal to come takes one end
+        ((-1, 2, 1, -1), (), True),  # pair 1 joined through the fragment
+        ((-1, 2, 1, -2), (), False),  # the fragment would join two pairs
+    ])
+    def test_completion_verdicts(self, ends, wild, verdict):
+        # An end is a pair label, or the index of its fragment's other end.
+        assert frontier._completable(ends, wild) is verdict
+
+    def test_crossing_arcs_turn_the_test_off(self, monkeypatch):
+        # The arcs 2-8 and 5-11 of this 4x3 grid interleave beside its
+        # last column, so no disc holds the undecided part: the one
+        # linkage crosses from row 1 to row 3 and from row 2 to row 4.
+        graph, layout = make_grid(4, 3)
+        instance = Instance.make(Graph.from_edges(12, set(graph.edges) | {(2, 8), (5, 11)}),
+                                 [(9, 1), (10, 0)], layout)
+        for spanning in (False, True):
+            plain, pruned = plain_and_pruned(monkeypatch, instance, require_spanning=spanning)
+            assert answer(pruned) == answer(plain)
+            assert pruned.count == 1
+
+    def test_terminal_only_ends_match_the_search(self):
+        # _completable() settles ends that all hold a terminal by a
+        # stack; the general search must agree.
+        rng = random.Random(7)
+        for _ in range(400):
+            ends, wild = [], []
+            for label in range(-1, -rng.randint(1, 5) - 1, -1):
+                held = rng.randint(0, 2)
+                ends += [label] * held
+                if held < 2:
+                    wild.append((label, 2 - held))
+            rng.shuffle(ends)
+            ends = tuple(ends)
+            assert frontier._completable(ends, tuple(wild)) == frontier._settle(
+                0, list(ends), [], dict(wild), set())
 
 
 def answers(outcome):
@@ -192,12 +369,11 @@ class TestEdgeFilter:
         assert stopped == 16
 
     def test_node_budget_is_shared_with_the_count(self):
-        # The count alone needs 31,048 nodes at k = 3 and the full search
-        # 376,823: the search after a count stopped by the node budget
-        # gets only what is left of it.  (test_io_cli checks the same for
-        # the deadline at k = 4.)
-        out = solve(build_instance(3, s0_placement=S0_BOTTOM_LEFT), max_nodes=20_000)
-        assert (out.status, out.solutions, out.nodes_explored) == (STATUS_ABORTED, (), 20_001)
+        # The count alone needs 11,620 nodes at k = 4: the search after a
+        # count stopped by the node budget gets only what is left of it.
+        # (test_io_cli checks the same for the deadline at k = 5.)
+        out = solve(build_instance(4, s0_placement=S0_BOTTOM_LEFT), max_nodes=5_000)
+        assert (out.status, out.solutions, out.nodes_explored) == (STATUS_ABORTED, (), 5_001)
 
 
 def test_irrelevant_row_equals_the_sweep():

@@ -288,9 +288,11 @@ class TestCli:
         text = capsys.readouterr().out
         assert "PASS" in text and "FAIL" not in text
 
-    @pytest.mark.parametrize("k,budget,code", [(3, "20", EXIT_OK), (4, "2", EXIT_ABORTED)])
+    @pytest.mark.parametrize("k,budget,code", [(3, "20", EXIT_OK), (4, "1", EXIT_OK),
+                                               (5, "2", EXIT_ABORTED)])
     def test_verify_larger_instances(self, k, budget, code, tmp_path, capsys):
-        # k = 3 is decided in full; k = 4 runs out of time and says so.
+        # k = 3 and k = 4 are decided in full; the k = 5 count runs out of
+        # states and says so.
         path = tmp_path / f"k{k}.json"
         assert main(["generate", "-k", str(k), "--out", str(path)]) == EXIT_OK
         capsys.readouterr()
@@ -301,11 +303,11 @@ class TestCli:
         verdict = "PASS" if code == EXIT_OK else "INDETERMINATE"
         assert len(rows) == 5 and all(row.startswith(verdict) for row in rows)
 
-    def test_solve_k4_spends_one_budget(self, tmp_path, capsys):
+    def test_solve_k5_spends_one_budget(self, tmp_path, capsys):
         # The frontier count stops at its state cap, and the search that
         # follows gets only what is left of the same deadline.
-        path = tmp_path / "k4.json"
-        assert main(["generate", "-k", "4", "--out", str(path)]) == EXIT_OK
+        path = tmp_path / "k5.json"
+        assert main(["generate", "-k", "5", "--out", str(path)]) == EXIT_OK
         capsys.readouterr()
         start = time.monotonic()
         assert main(["solve", str(path), "--budget-seconds", "2"]) == EXIT_ABORTED

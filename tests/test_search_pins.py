@@ -115,20 +115,9 @@ PINNED = [
 ]
 
 
-# A row's name holds the node count it was first pinned with, so that
-# re-pinning keeps the name; these rows' counts have dropped since.
-FIRST_PINNED_NODES = {
-    **{("bottom-left", 2, order, pair_order, False, "enumerate_all"): 671
-       for order in ("ascending", "min-degree") for pair_order in ("input", "auto")},
-    **{("bottom-left", 2, "ascending", pair_order, False, "decide"): 243
-       for pair_order in ("input", "auto")},
-}
-
-
 def _pin_name(row: tuple) -> str:
     # Names leave out filtered_nodes.
-    nodes = FIRST_PINNED_NODES.get(row[:6], row[6])
-    return "-".join(map(str, row[:6] + (nodes,) + row[7:9]))
+    return "-".join(map(str, row[:9]))
 
 
 @pytest.mark.parametrize(
@@ -178,7 +167,7 @@ def test_k3_spanning_search_pinned():
         order="min-degree",
         pair_order="auto",
     )
-    assert out.nodes_explored == 19680
+    assert out.nodes_explored == 241
     assert tuple(link.paths for link in out.solutions) == (K3_SOLUTION,)
 
 
@@ -188,7 +177,7 @@ def test_k3_decide_search_pinned():
         order="min-degree",
         pair_order="auto",
     )
-    assert out.nodes_explored == 31125
+    assert out.nodes_explored == 244
     assert tuple(link.paths for link in out.solutions) == (K3_SOLUTION,)
 
 
