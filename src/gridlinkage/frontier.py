@@ -64,8 +64,8 @@ neither, stays the independent reference.
   run to it freely, one end per such terminal.  The state survives
   when the other ends pair up in a nested matching that, glued to the
   fragments already built, joins each pair's two terminals and closes
-  no cycle.  The verdict depends on the ends alone and is cached on
-  them for the run.
+  no cycle.  The verdict depends only on the ends and the terminals
+  still to come, so it is cached on them for the run.
 
 A pruned state has no completion, and every state a completion passes
 through has one, so no count, witness or merged set changes: only
@@ -205,9 +205,10 @@ def _planar_cells(instance: Instance) -> tuple[dict[int, tuple[int, int]], set[E
     if layout is None or not n:
         return None
     cells = layout.cells
+    if cells.keys() != set(range(n)):
+        return None
     rows, cols = zip(*cells.values())
-    if (cells.keys() != set(range(n)) or len(set(cells.values())) != n
-            or min(rows) < 1 or max(rows) > layout.rows
+    if (len(set(cells.values())) != n or min(rows) < 1 or max(rows) > layout.rows
             or min(cols) < 1 or max(cols) > layout.cols):
         return None
     arcs = set()
@@ -288,10 +289,12 @@ def _schedule(
         wild = tuple(sorted(to_come.items()))
     # Whether the states of the last step passed the non-crossing test
     # and no terminal has entered since.  A state that then leaves out
-    # the next edge, or takes it to extend one end, has the same ends in
-    # the same row order as the state it came from, and passes as well.
-    # (Extending an end along an arc would move it past others, but an
-    # arc is decided only after a step at which it was pending.)
+    # the next edge, or takes it to extend one end, has the ends of the
+    # state it came from in the same row order, and passes as well: a
+    # unit edge moves an end within its row or to the next row, past no
+    # other frontier vertex.  (Extending an end along an arc could move
+    # it past others, but an arc is decided only after a step at which
+    # it was pending, which ran no test.)
     tested = False
     for v in order:
         if not adjacency[v]:
@@ -400,10 +403,8 @@ def count_linkages(
     counts: dict[tuple[int, ...], list] = {root: [1, None, 0, 0]}
     nodes = 0
     peak = 1
-    # Non-crossing verdicts by the ends read, for the whole run, and the
-    # states a step's prunes dropped, for that step.
+    # Non-crossing verdicts by the ends read, for the whole run.
     verdicts: dict[tuple, bool] = {}
-    dead: set[tuple[int, ...]] = set()
     try:
         for edge, step_bit, bits, a, b, la, lb, leaving, same_check, new_check in steps:
             if time.monotonic() > deadline:
@@ -412,8 +413,6 @@ def count_linkages(
                 raise _Abort("nodes")
             next_counts: dict[tuple[int, ...], list] = {}
             get = next_counts.get
-            if dead:
-                dead.clear()
             for state, (c, first, used, some) in counts.items():
                 nodes += 1
                 if not nodes & 4095:
@@ -427,7 +426,7 @@ def count_linkages(
                 if child is not None:
                     entry = get(child)
                     if entry is None:
-                        if same_check is None or _alive(child, same_check, verdicts, dead):
+                        if same_check is None or _alive(child, same_check, verdicts):
                             next_counts[child] = [c, first, used, some]
                     else:
                         entry[0] += c
@@ -474,7 +473,7 @@ def count_linkages(
                         # or opening a fragment changes them.
                         if new_check is None or _alive(
                                 child, same_check if (x == _FREE) != (y == _FREE) else new_check,
-                                verdicts, dead):
+                                verdicts):
                             next_counts[child] = [c, (edge, first), used, some]
                     else:
                         entry[0] += c
@@ -496,28 +495,21 @@ def count_linkages(
                         frozenset(iter_bits(used)), used_by_some, nodes, peak)
 
 
-def _alive(state: tuple[int, ...], check: _Check | None, verdicts: dict[tuple, bool],
-           dead: set[tuple[int, ...]]) -> bool:
-    """Whether state survives the step's prunes (None: no prune); dead
-    holds the states of this step that did not."""
+def _alive(state: tuple[int, ...], check: _Check | None, verdicts: dict[tuple, bool]) -> bool:
+    """Whether state survives the step's prunes (None: no prune)."""
     if check is None:
         return True
-    if state in dead:
-        return False
     thin, rows, wild = check
     for j in thin:
         if state[j] == _FREE:
-            dead.add(state)
             return False
-    if rows is not None:
-        key = (_ends(state, rows), wild)
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = verdicts[key] = _completable(*key)
-        if not verdict:
-            dead.add(state)
-            return False
-    return True
+    if rows is None:
+        return True
+    key = (_ends(state, rows), wild)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = _completable(*key)
+    return verdict
 
 
 def _ends(state: tuple[int, ...], rows: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
@@ -553,21 +545,7 @@ def _completable(ends: tuple[int, ...], wild: tuple[tuple[int, int], ...]) -> bo
     every path must run between the two terminals of one pair, and no
     fragment may close on itself.
     """
-    left = dict(wild)
-    if all(end < 0 for end in ends):
-        # Every end holds a terminal: one whose pair has a terminal to
-        # come runs to it, the two ends of any other pair must join, and
-        # those joins must nest.
-        stack: list[int] = []
-        for end in ends:
-            if end in left:
-                continue
-            if stack and stack[-1] == end:
-                stack.pop()
-            else:
-                stack.append(end)
-        return not stack
-    return _settle(0, list(ends), [], left, set())
+    return _settle(0, list(ends), [], dict(wild), set())
 
 
 def _settle(i: int, ident: list[int], stack: list[int], left: dict[int, int],

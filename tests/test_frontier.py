@@ -45,7 +45,7 @@ from gridlinkage import (
 )
 from gridlinkage import frontier
 from gridlinkage.construction import linkage_checks
-from gridlinkage.graphs import grid_vertex_id
+from gridlinkage.graphs import GridLayout, grid_vertex_id
 
 
 def candidates(ks=(1, 2)):
@@ -311,21 +311,19 @@ class TestPrunes:
             assert answer(pruned) == answer(plain)
             assert pruned.count == 1
 
-    def test_terminal_only_ends_match_the_search(self):
-        # _completable() settles ends that all hold a terminal by a
-        # stack; the general search must agree.
-        rng = random.Random(7)
-        for _ in range(400):
-            ends, wild = [], []
-            for label in range(-1, -rng.randint(1, 5) - 1, -1):
-                held = rng.randint(0, 2)
-                ends += [label] * held
-                if held < 2:
-                    wild.append((label, 2 - held))
-            rng.shuffle(ends)
-            ends = tuple(ends)
-            assert frontier._completable(ends, tuple(wild)) == frontier._settle(
-                0, list(ends), [], dict(wild), set())
+    def test_a_layout_without_cells(self, monkeypatch):
+        # A layout need place no vertex.  The count then takes the
+        # vertices in index order and runs no non-crossing test.
+        graph, layout = make_grid(6, 3)
+        instance = Instance.make(graph, [(0, 15), (2, 17)], GridLayout(6, 3, (), layout.role_of))
+        for spanning in (False, True):
+            plain, pruned = plain_and_pruned(monkeypatch, instance, require_spanning=spanning)
+            shipped = count_linkages(instance, require_spanning=spanning)
+            assert answer(shipped) == answer(pruned) == answer(plain)
+            reference = count_linkages(stripped(instance), require_spanning=spanning)
+            assert (plain.count, plain.used_by_all, plain.used_by_some) == (
+                reference.count, reference.used_by_all, reference.used_by_some)
+            assert plain.count >= 1
 
 
 def answers(outcome):
