@@ -15,8 +15,21 @@ the same _deepen(), over vertex layouts scored by boundary size (vertex
 separation).  Certificates are plain vertex orders; independent
 re-checkers recompute their width from scratch.
 
+The deepening descends.  A greedy order gives an upper bound, and the
+search tries each width from one below it down until a width fails or
+the degeneracy lower bound is passed.  All the widths of a component
+share one memo of refuted states: a state with no completion within
+w + 1 has none within w, so a refutation stays true all the way down.
+The certificate is the one a search at the optimal width with a fresh
+memo finds, since the carried memo only cuts subtrees that hold no
+solution.  A search skips a child state already refuted before calling
+it, so nodes_explored (and max_nodes) count only the states searched:
+a pathwidth child is looked up under its placed set before absorption,
+and the rare one found refuted only after absorbing still costs a node.
+
 Budgets cap search nodes and wall time.  A blown budget degrades the
-result to a greedy upper bound flagged exact=False, it never guesses.
+result to the best upper bound found (the greedy one, or the last width
+the descent reached) flagged exact=False; it never guesses.
 width_checks() runs several searches under one budget and judges each
 against the 2^k + 1 width of the grid a constructed instance is built
 on: PASS, FAIL, or INDETERMINATE for an inexact result.
@@ -356,7 +369,10 @@ def _tw_decide(
         if deg <= w:
             candidates.append((deg, v))
 
+    # A refuted child is skipped before the call, without a node.
     for _, v in sorted(candidates):
+        if comp ^ (1 << v) in failed:
+            continue
         sub = _tw_decide(nbrs, comp ^ (1 << v), w, budget, failed, v)
         if sub is not None:
             return [v] + sub
@@ -373,8 +389,11 @@ def _deepen(
     decide: Callable[[list[int], int, int, _Budget, set[int]], list[int] | None],
 ) -> WidthResult:
     # Per component: upper() gives a greedy (width, order), then decide()
-    # tries each width from the degeneracy lower bound up; the first
-    # order found is optimal.  A blown budget keeps the best so far.
+    # tries each width from one below it down, keeping every order it
+    # finds, until a width fails or the degeneracy lower bound is
+    # passed; the last order found is optimal.  One failed set serves
+    # every width of a component: a state with no completion within
+    # w + 1 has none within w.  A blown budget keeps the best so far.
     n = graph.vertex_count
     if n == 0:
         raise ValueError("width of the empty graph is not defined here")
@@ -389,11 +408,12 @@ def _deepen(
             ub, _ = per_comp[i]
             # No clique bound: omega - 1 <= degeneracy (Bodlaender-Koster).
             lb = _degeneracy(adj, comp, budget.deadline)
-            for w in range(lb, ub):
-                order = decide(adj, comp, w, budget, set())
-                if order is not None:
-                    per_comp[i] = (w, order)
+            failed: set[int] = set()
+            for w in range(ub - 1, lb - 1, -1):
+                order = decide(adj, comp, w, budget, failed)
+                if order is None:
                     break
+                per_comp[i] = (w, order)
     except _WidthBudget:
         exact = False
 
@@ -409,10 +429,15 @@ def treewidth_exact(
 ) -> WidthResult:
     """Exact treewidth with an optimal elimination order as certificate.
 
-    Iterative deepening between the degeneracy lower bound and a
-    greedy min-fill upper bound, splitting on connected components and
-    memoizing refuted subsets per width.  Budget exhaustion returns the
-    best upper bound found, flagged exact=False.
+    Per connected component, the search descends from one below a
+    greedy min-fill upper bound, one width at a time, and stops at the
+    first width with no order or once it has passed the degeneracy
+    lower bound.  Refuted vertex subsets are memoized once for all the
+    widths of a component: a subset with no order within w + 1 has none
+    within w.  nodes_explored and max_nodes count searched subsets only;
+    a child already refuted is skipped without a node.  Budget
+    exhaustion returns the best upper bound found (the greedy one or
+    the last width the search reached), flagged exact=False.
     """
     return _deepen(
         KIND_TREEWIDTH, graph, max_nodes, max_seconds, _min_fill_order, _tw_decide
@@ -460,12 +485,21 @@ def _pw_decide(
         if absorbed:
             boundary = _still_open(nb, boundary, rest)
 
+        # A refuted child is recorded under its key before absorption,
+        # the one this loop sees, as well as under its absorbed key (it
+        # records that itself).  Absorbing never widens a boundary, so
+        # the two keys are refuted together, and a refuted child is
+        # skipped without a call.
         for _, v, grown in sorted(_moves(nb, boundary, rest, w)):
+            child = placed | 1 << v
+            if child in failed:
+                continue
             order.append(v)
             result = search(rest ^ (1 << v), grown, nb[v] & rest, order)
             if result is not None:
                 return result
             order.pop()
+            failed.add(child)
         failed.add(placed)
         del order[len(order) - absorbed:]
         return None
@@ -485,10 +519,16 @@ def pathwidth_exact(
 ) -> WidthResult:
     """Exact pathwidth with an optimal layout as certificate.
 
-    Vertex-separation search: deepen the allowed boundary size until
-    some left-to-right layout keeps every prefix within it.  Refuted
-    placed-sets memoize per width; components split.  Budget exhaustion
-    returns the best upper bound found, flagged exact=False.
+    Vertex-separation search: per connected component, lower the
+    allowed boundary size from one below a greedy layout's width until
+    no left-to-right layout keeps every prefix within it, or until the
+    degeneracy lower bound is passed.  Refuted placed sets are memoized
+    once for all the widths of a component: a placed set with no layout
+    within w + 1 has none within w.  nodes_explored and max_nodes count
+    searched placed sets only; a move onto a set already refuted is
+    skipped without a node.  Budget exhaustion returns the best upper
+    bound found (the greedy one or the last width the search reached),
+    flagged exact=False.
     """
     return _deepen(
         KIND_PATHWIDTH, graph, max_nodes, max_seconds, _greedy_layout, _pw_decide

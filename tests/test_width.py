@@ -1,5 +1,6 @@
 """Exact treewidth and pathwidth with verifiable certificates."""
 
+import functools
 import gc
 import random
 import time
@@ -25,8 +26,11 @@ from gridlinkage import width as width_module
 from gridlinkage.width import (
     _closure_neighbors,
     _eliminate,
+    _greedy_layout,
+    _min_fill_order,
     _moves,
     _pw_decide,
+    _tw_decide,
     _Budget,
 )
 from oracles import brute_pathwidth, brute_treewidth, connected_graphs
@@ -324,6 +328,261 @@ class TestIncrementalElimination:
                 if connected and remaining:
                     assert components(nbrs, remaining) == [remaining]
         assert seen[True] > 50 and seen[False] > 50
+
+
+def tree_like(kind, seed):
+    """A seeded random tree, each vertex of degree at most 3, randomly
+    labelled; kind "chords" is smaller and adds 2 to 5 random edges."""
+    rng = random.Random(f"width-gap/{kind}/{seed}")
+    n = rng.randint(20, 40) if kind == "tree" else rng.randint(16, 28)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    degree = [0] * n
+    edges = set()
+    for i in range(1, n):
+        parent = rng.choice([u for u in range(i) if degree[u] < 3])
+        degree[parent] += 1
+        degree[i] += 1
+        edges.add(tuple(sorted((labels[parent], labels[i]))))
+    if kind == "chords":
+        for _ in range(rng.randint(2, 5)):
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def gnp(rng, n, p):
+    return Graph.from_edges(
+        n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    )
+
+
+def dense_random(p, seed):
+    """A seeded G(n, p) with 10 to 15 vertices."""
+    rng = random.Random(f"gap/tw/{seed}")
+    return gnp(rng, rng.randint(10, 15), p)
+
+
+def small_family():
+    """Every connected graph on up to 6 vertices and 40 seeded ones on 7
+    or 8."""
+    rng = random.Random(21)
+    family = list(connected_graphs(6))
+    for _ in range(40):
+        n = rng.randint(7, 8)
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = sorted(rng.sample(range(n), 2))
+            edges.add((a, b))
+        family.append(Graph.from_edges(n, edges))
+    return family
+
+
+def trivial_bound(adj, comp, deadline):
+    # Any order of n vertices has width at most n - 1.
+    return comp.bit_count() - 1, sorted(iter_bits(comp))
+
+
+def layout_completes(adj, comp, w):
+    """Whether some order of the rest of comp after a placed set keeps
+    every later prefix's boundary within w."""
+
+    @functools.cache
+    def completes(placed):
+        if placed == comp:
+            return True
+        for v in iter_bits(comp & ~placed):
+            grown = placed | 1 << v
+            boundary = sum(1 for u in iter_bits(grown) if adj[u] & comp & ~grown)
+            if boundary <= w and completes(grown):
+                return True
+        return False
+
+    return completes
+
+
+def elimination_completes(adj, comp, w):
+    """Whether, the rest of comp eliminated, some order of a remaining
+    set gives each vertex at most w residual neighbours."""
+
+    def residual_degree(left, v):
+        # survivors reachable from v through eliminated vertices
+        seen, stack, found = {v}, [v], 0
+        while stack:
+            for u in iter_bits(adj[stack.pop()] & comp):
+                if u not in seen:
+                    seen.add(u)
+                    if left >> u & 1:
+                        found += 1
+                    else:
+                        stack.append(u)
+        return found
+
+    @functools.cache
+    def completes(left):
+        if left.bit_count() <= w + 1:
+            return True
+        return any(
+            residual_degree(left, v) <= w and completes(left ^ 1 << v)
+            for v in iter_bits(left)
+        )
+
+    return completes
+
+
+class NoMemo(set):
+    """A failed set that never answers: the search becomes a plain
+    depth-first search."""
+
+    def __contains__(self, key):
+        return False
+
+
+def fresh_order(decide, graph, w):
+    """The order a depth-first search at width w alone finds, without
+    any memo."""
+    adj = adjacency_masks(graph)
+    comp = (1 << graph.vertex_count) - 1
+    return tuple(decide(adj, comp, w, _Budget(10**7, 60.0), NoMemo()))
+
+
+class TestCarriedMemo:
+    """One memo of refuted states serves every width a component's
+    search descends through.  The graphs here sit at least 2 below their
+    greedy bound, or descend from the trivial bound n - 1, so a search
+    that succeeds meets the refutations of a wider one.  The value must
+    match the brute-force oracle, and the certificate must be the one a
+    search at that width alone finds: the memo may only cut subtrees
+    without a solution."""
+
+    # Trees: widths 3 and 2 succeed (and 4 too below a bound of 5), 1
+    # fails.  Chorded trees: widths 4 and 3 succeed, 2 fails.
+    PATHWIDTH_GRAPHS = [("tree", seed) for seed in (5, 24, 52, 58, 74)] + [
+        ("chords", seed) for seed in (340, 749, 791, 1289)
+    ]
+    TREEWIDTH_GRAPHS = [
+        (0.35, 935), (0.35, 55343), (0.5, 2440), (0.5, 17406), (0.5, 55812), (0.5, 74251)
+    ]
+
+    @pytest.mark.parametrize("kind, seed", PATHWIDTH_GRAPHS)
+    def test_pathwidth_far_below_the_greedy_bound(self, kind, seed):
+        graph = tree_like(kind, seed)
+        adj = adjacency_masks(graph)
+        greedy, _ = _greedy_layout(adj, (1 << graph.vertex_count) - 1, float("inf"))
+        result = pathwidth_exact(graph)
+        assert result.exact
+        assert result.value == brute_pathwidth(graph) <= greedy - 2
+        assert width_of_layout(graph, result.certificate) == result.value
+        assert result.certificate == fresh_order(_pw_decide, graph, result.value)
+
+    @pytest.mark.parametrize("p, seed", TREEWIDTH_GRAPHS)
+    def test_treewidth_far_below_the_greedy_bound(self, p, seed):
+        graph = dense_random(p, seed)
+        adj = adjacency_masks(graph)
+        greedy, _ = _min_fill_order(adj, (1 << graph.vertex_count) - 1, float("inf"))
+        result = treewidth_exact(graph)
+        assert result.exact
+        assert result.value == brute_treewidth(graph) <= greedy - 2
+        assert width_of_elimination_order(graph, result.certificate) == result.value
+        assert result.certificate == fresh_order(_tw_decide, graph, result.value)
+
+    @pytest.mark.parametrize("search, decide, upper, recheck, brute", [
+        (treewidth_exact, _tw_decide, "_min_fill_order", width_of_elimination_order,
+         brute_treewidth),
+        (pathwidth_exact, _pw_decide, "_greedy_layout", width_of_layout, brute_pathwidth),
+    ], ids=["treewidth", "pathwidth"])
+    def test_descent_from_the_trivial_bound(
+        self, monkeypatch, search, decide, upper, recheck, brute
+    ):
+        # With every greedy bound replaced by the trivial one, one memo
+        # serves every width from n - 2 down.
+        monkeypatch.setattr(width_module, upper, trivial_bound)
+        successes = set()
+        for graph in small_family():
+            result = search(graph)
+            assert result.exact
+            assert result.value == brute(graph)
+            assert recheck(graph, result.certificate) == result.value
+            if result.value < graph.vertex_count - 1:
+                successes.add(graph.vertex_count - 1 - result.value)
+                assert result.certificate == fresh_order(decide, graph, result.value)
+        # widths from n - 2 down to the value all succeed on one memo
+        assert max(successes) >= 5
+
+    @pytest.mark.parametrize("search, decide, upper, recheck, count", [
+        (treewidth_exact, _tw_decide, "_min_fill_order", width_of_elimination_order, 600),
+        (pathwidth_exact, _pw_decide, "_greedy_layout", width_of_layout, 150),
+    ], ids=["treewidth", "pathwidth"])
+    def test_certificates_match_a_search_without_memo(
+        self, monkeypatch, search, decide, upper, recheck, count
+    ):
+        # Larger graphs than the oracles reach, each descending from the
+        # trivial bound: the certificate is the order a depth-first
+        # search at that width finds without any memo, and one width
+        # lower a search with a fresh memo fails.
+        monkeypatch.setattr(width_module, upper, trivial_bound)
+        rng = random.Random(5)
+        for _ in range(count):
+            n = rng.randint(9, 12)
+            graph = gnp(rng, n, rng.choice((0.3, 0.5)))
+            adj = adjacency_masks(graph)
+            whole = (1 << n) - 1
+            if components(adj, whole) != [whole]:
+                continue
+            result = search(graph)
+            assert result.exact
+            assert recheck(graph, result.certificate) == result.value
+            if result.value < n - 1:
+                assert result.certificate == fresh_order(decide, graph, result.value)
+            assert decide(adj, whole, result.value - 1, _Budget(10**7, 60.0), set()) is None
+
+    @pytest.mark.parametrize("search, decide, upper, completes, least", [
+        (treewidth_exact, "_tw_decide", "_min_fill_order", elimination_completes, 300),
+        (pathwidth_exact, "_pw_decide", "_greedy_layout", layout_completes, 10000),
+    ], ids=["treewidth", "pathwidth"])
+    def test_every_recorded_state_is_refuted(
+        self, monkeypatch, search, decide, upper, completes, least
+    ):
+        # After each width's search, successful or not, every state in
+        # the memo lies in the component and has no completion within
+        # that width, so it has none within any lower width either.
+        # _tw_decide recurses through its module name, hence the depth.
+        real = getattr(width_module, decide)
+        depth = 0
+        checked = 0
+
+        def checking_decide(adj, comp, w, budget, failed, *rest):
+            nonlocal depth, checked
+            depth += 1
+            try:
+                return real(adj, comp, w, budget, failed, *rest)
+            finally:
+                depth -= 1
+                if not depth:
+                    within = completes(adj, comp, w)
+                    for key in failed:
+                        assert not key & ~comp
+                        assert not within(key)
+                    checked += len(failed)
+
+        monkeypatch.setattr(width_module, decide, checking_decide)
+        monkeypatch.setattr(width_module, upper, trivial_bound)
+        rng = random.Random(34)
+        dense = [gnp(rng, n, 0.5) for n in [9, 10, 11] * 15]
+        for graph in small_family() + dense:
+            assert search(graph).exact
+        assert checked >= least
+
+    def test_each_component_starts_a_fresh_memo(self):
+        # Two copies of one tree.  The first copy's search at width 1
+        # refutes the empty placed set, which is where the second copy's
+        # search starts too: each component needs a memo of its own.
+        tree = tree_like("tree", 5)
+        n = tree.vertex_count
+        edges = tree.sorted_edges()
+        twice = Graph.from_edges(2 * n, edges + [(u + n, v + n) for u, v in edges])
+        result = pathwidth_exact(twice)
+        assert result.exact and result.value == 2
+        assert width_of_layout(twice, result.certificate) == 2
 
 
 class TestBoundReport:

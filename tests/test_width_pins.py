@@ -1,10 +1,11 @@
 """Pinned search trajectories of the exact width searches.
 
 Node counts are deterministic, so they fix exactly which states the
-searches visit: move order, absorption, splitting and the failed-set
-memo.  Each row records the width, nodes_explored and the certificate
-for one graph; any change to a search decision shows up here as a
-count or certificate change, not only as a timing change.
+searches visit: move order, absorption, splitting, the order of the
+widths tried and the failed-set memo they share.  Each row records the
+width, nodes_explored and the certificate for one graph; any change to
+a search decision shows up here as a count or certificate change, not
+only as a timing change.
 """
 
 import pytest
@@ -32,26 +33,28 @@ GRAPHS = {
 
 # (search, graph, value, nodes_explored, certificate)
 PINNED = [
-    (pathwidth_exact, "k1", 3, 86, (0, 1, 3, 2, 4, 6, 7, 5, 8)),
-    (pathwidth_exact, "k2", 5, 67955,
+    (pathwidth_exact, "k1", 3, 48, (0, 1, 3, 2, 4, 6, 7, 5, 8)),
+    (pathwidth_exact, "k2", 5, 15872,
      (15, 0, 1, 5, 2, 6, 10, 3, 7, 11, 20, 16, 12, 8, 4, 21, 17, 13, 9, 22,
       18, 14, 19, 23, 24)),
-    (pathwidth_exact, "grid3", 3, 90, tuple(range(9))),
-    (pathwidth_exact, "grid4", 4, 2358, tuple(range(16))),
-    # On the graphs above every search below the greedy bound fails, and
-    # a failing search visits the same nodes in any move order.  Here the
-    # greedy layout has width 4 and the search finds width 2, so the
-    # count and the layout also fix the move order and the absorptions.
-    (pathwidth_exact, "tree31", 2, 149,
+    (pathwidth_exact, "grid3", 3, 49, tuple(range(9))),
+    (pathwidth_exact, "grid4", 4, 755, tuple(range(16))),
+    # On the graphs above the greedy layout is optimal: the one search,
+    # one below its width, fails.  Here the greedy layout has width 4 and
+    # the search finds width 2, so the count and the layout also fix the
+    # move order and the absorptions.  Widths 3 and 2 succeed and 1 fails,
+    # all on one memo; the search at 3 finds a layout that a climb from
+    # the lower bound would never have looked for.
+    (pathwidth_exact, "tree31", 2, 168,
      (1, 7, 15, 16, 3, 8, 17, 18, 9, 19, 20, 4, 0, 2, 10, 21, 22, 11, 23, 24,
       5, 6, 12, 25, 26, 13, 27, 28, 14, 29, 30)),
-    (treewidth_exact, "k1", 3, 5, (0, 6, 3, 1, 4, 2, 5, 7, 8)),
-    (treewidth_exact, "grid4", 4, 6082,
+    (treewidth_exact, "k1", 3, 4, (0, 6, 3, 1, 4, 2, 5, 7, 8)),
+    (treewidth_exact, "grid4", 4, 1296,
      (0, 3, 12, 15, 1, 4, 7, 13, 2, 5, 6, 8, 9, 10, 11, 14)),
     # Treewidth 4 under a min-fill bound of 5: the search succeeds, so
     # the count and the order also fix the (degree, vertex) candidate
     # order, which the two rows above do not.
-    (treewidth_exact, "sparse16", 4, 756,
+    (treewidth_exact, "sparse16", 4, 215,
      (8, 13, 5, 11, 14, 1, 2, 3, 4, 6, 10, 0, 7, 9, 12, 15)),
 ]
 
