@@ -22,6 +22,8 @@ def random_instance(
     """One random instance; may well be unsolvable, that is the point."""
     if max_vertices < 2:
         raise ValueError("need room for at least one terminal pair")
+    if max_pairs < 1:
+        raise ValueError(f"max_pairs must be at least 1, got {max_pairs}")
     n = rng.randint(2, max_vertices)
     density = rng.uniform(0.15, 0.6)
     edges = [

@@ -36,14 +36,16 @@ to no solution, so the search loses none and returns the same solutions
 in the same order.  When the count stops at a limit the search runs on
 every edge.  Instances without a layout are searched on every edge.
 
-Without the spanning test the search also reuses the later pairs'
-solutions, keyed on the free region they may use: the same reuse of
-sub-results keyed on a region that makes frontier path search
-(Knuth's SIMPATH) fast.  A path's interior is connected, lies in the
-free set and touches both of its own ends, so once pair j - 1 closes
-the solutions of pairs j..last lie in the union of the free components
-that touch both ends of some pair >= j, and depend on nothing else.
-Routings of the earlier pairs that leave the same region share them.
+Without the spanning test the search also reuses what a subtree
+emitted, keyed on the free region the rest of its paths may use: the
+same reuse of sub-results keyed on a region that makes frontier path
+search (Knuth's SIMPATH) fast.  A path's interior is connected, lies
+in the free set and touches both of its own ends.  So below a node
+that routes pair j and has reached head h, the rest of pair j's path
+and the paths of pairs j + 1..last lie in the region: the union of the
+free components that touch both neighborhoods of (h, t_j) or of some
+later pair.  They depend on j, h and the region alone, and other
+routings that reach the same key share them.
 
 Budgets bound the search; an exhausted budget surfaces as status
 "aborted" and is never coerced into an answer.
@@ -60,6 +62,13 @@ from .graphs import Graph, GridLayout, ROLE_BORDER, ROLE_EXTERIOR, validate_path
 
 DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_TIME_BUDGET = 600.0
+# solve() keys the region memo at every pair start, and at every other
+# search node once it has entered this many nodes (see solve()).  Set
+# by measurement: at 256, sparse random graphs of 17-20 vertices and
+# single-pair searches of 300-700 nodes solved slower than without
+# these keys; at 1024 neither did, and 5x5 / 5x6 enumeration kept most
+# of the gain.
+MEMO_MIN_NODES = 1024
 
 STATUS_SOLVABLE = "solvable"
 STATUS_UNSOLVABLE = "unsolvable"
@@ -238,26 +247,29 @@ def _check_closed(
     return used
 
 
-def _suffix_key(
+def _region_key(
     adj: list[int],
     search_pairs: tuple[tuple[int, int], ...],
-    j: int,
+    idx: int,
+    head: int,
     free: int,
     labels: tuple[list[int], int],
-) -> tuple[tuple[int, int], tuple[list[int], int]]:
-    """The suffix-memo key of a pair-j subtree of solve(), and labels to
+) -> tuple[tuple[int, int, int], tuple[list[int], int]]:
+    """The memo key of the solve() node (idx, head, free), and labels to
     hand on: free's components labels holds, plus those flooded here.
 
     The region, the union of the components of free that touch both
-    ends' neighborhoods of some pair >= j, holds every path of pairs
-    j..last, so it fixes their solutions.  The components next to a
-    pending s are labelled once its pair was tested; those of a pair with
-    adjacent ends may not be, and are flooded here.
+    ends' neighborhoods of (head, t_idx) or of some later pair, holds
+    the rest of the current path and every later path, so with idx and
+    head it fixes what the node's subtree emits.  Components next to
+    head or to a later s that no label covers are flooded here.
     """
     comps, labelled = labels
-    rest = search_pairs[j:]
+    ends = search_pairs[idx:]
+    if head != ends[0][0]:
+        ends = ((head, ends[0][1]),) + ends[1:]
     fresh = 0
-    for s, _ in rest:
+    for s, _ in ends:
         fresh |= adj[s]
     fresh &= free & ~labelled
     if fresh:
@@ -268,11 +280,11 @@ def _suffix_key(
         labels = comps, labelled
     region = 0
     for comp in comps:
-        for s, t in rest:
+        for s, t in ends:
             if comp & adj[s] and comp & adj[t]:
                 region |= comp
                 break
-    return (j, region), labels
+    return (idx, head, region), labels
 
 
 ORDER_ASCENDING = "ascending"
@@ -358,25 +370,32 @@ def solve(
     edge with what is left of both.  At the k = 4 instance the count
     holds up to MAX_STATES states, about 100 MB, before it stops.
 
-    Without require_spanning a suffix memo skips subtrees whose answer
-    is known.  When pair j - 1 closes, the key is j and the region R,
-    the union of the free components that touch both ends' neighbor
-    sets of some pair >= j (the module docstring says why R fixes the
-    solutions of pairs j..last).  A subtree that finishes below the cap
-    stores the suffixes it emitted, in emission order: the solutions it
-    added, whose paths j..last and their vertex mask are the suffixes.
-    One that emitted none stores that too, so decide stops repeating
-    subtrees that failed.  On a hit the stored suffixes are emitted
-    after the closed paths, in their order, in place of the subtree.
-    The ascending order ranks candidates by id alone, so the search on
-    any free set with region R meets those suffixes in that order too.
-    Min-degree ranks them by all their free neighbors, some of them
-    outside R, so it may meet them in another order; that is harmless
-    when every solution is kept, but a cap keeps the first ones met, so
-    a capped min-degree search keeps no memo.  Each replayed suffix is
-    checked against the closed paths' vertex mask (the suffix itself
-    was checked when first emitted), and replays poll the deadline at
-    every 4096th suffix they emit, as the search does every 4096 nodes.
+    Without require_spanning a region memo skips subtrees whose
+    answer is known.  The key of a node routing pair j with head h is
+    (j, h, R), R the union of the free components that touch both
+    neighbor sets of (h, t_j) or of some pair > j (the module docstring
+    says why R fixes what the subtree emits).  Each child is looked up
+    when the move to it is made, before it is entered, so a hit costs
+    no node.  A node that finishes below the cap stores, in its own
+    frame, the suffixes it emitted in emission order: the solutions it
+    added, whose paths from h on are the suffixes.  One that emitted
+    none stores that too, so decide stops repeating subtrees that
+    failed.  On a hit each stored suffix is emitted, in its order, after
+    the closed paths and the current path up to h, in place of the
+    subtree.  The ascending order ranks candidates by id alone, so the
+    search on any free set with region R meets those suffixes in that
+    order too.  Min-degree ranks them by all their free neighbors, some
+    of them outside R, so it may meet them in another order; that is
+    harmless when every solution is kept, but a cap keeps the first ones
+    met, so a capped min-degree search keeps no memo.  A hit checks the
+    current path up to h once (it starts at s_j, follows edges, repeats
+    no vertex and misses the closed paths), and each replayed suffix
+    against the closed paths and that path (the suffix itself was
+    checked when first emitted).  Replays poll the deadline at every
+    4096th suffix they emit, as the search does every 4096 nodes.
+    Pair starts are keyed from the first node on; the other nodes only
+    once the search has entered MEMO_MIN_NODES nodes, since on smaller
+    searches a key costs more than the nodes its hits save.
     nodes_explored counts only the nodes searched, so it drops; the
     memo lives for one call.  A spanning search keeps no memo: its key
     would be the whole free set, which rarely repeats.
@@ -432,6 +451,8 @@ def solve(
         proc = range(len(pairs))
         search_pairs = pairs
     last = len(search_pairs) - 1
+    # The pair whose nodes ask only whether the head still reaches t.
+    plain_last = -1 if require_spanning else last
     if require_spanning:
         # pending_terms[i] / pending_nbrs[i]: terminals of search pairs
         # i..last and the union of their neighbor sets.
@@ -457,22 +478,29 @@ def solve(
     no_labels: tuple[list[int], int] = ([], 0)
     min_degree = order == ORDER_MIN_DEGREE
 
-    # The suffix memo (see the solve() docstring).  memo maps the key of
-    # a pair-j subtree to (first, end, prefix) when it added the
-    # solutions found[first:end], or to () when it added none: each
-    # found[i][j:] is a suffix, and found_masks[i] ^ prefix its vertex
-    # mask, prefix being that of the paths before j.  opened holds (key,
-    # len(found) at its start) for each pair-j subtree being searched.
-    # replayed counts the suffixes replays emitted, so that they poll
-    # the deadline as often as the search does.
-    memo: dict[tuple[int, int], tuple[int, ...]] | None = (
-        {} if not require_spanning and last > 0 and not (min_degree and cap) else None)
-    opened: list[tuple[tuple[int, int], int]] = []
+    # The region memo (see the solve() docstring).  memo maps the key of
+    # a searched node to (first, end, prefix, length) when its subtree
+    # added the solutions found[first:end], or to () when it added none:
+    # prefix is the vertex mask of the closed paths and of the current
+    # path's first length vertices, up to the node's head, so
+    # found_masks[i] ^ prefix is the mask of the suffix the subtree
+    # added to found[i].  Pair-start nodes are keyed from the first
+    # node on, the others once nodes passes memo_from.  replayed counts
+    # the suffixes replays emitted, so that they poll the deadline as
+    # often as the search does.
+    memo: dict[tuple[int, int, int], tuple[int, ...]] | None = (
+        {} if not require_spanning and not (min_degree and cap) else None)
+    memo_from = nodes + MEMO_MIN_NODES if memo is not None else max_nodes
     replayed = 0
 
-    def complete(free: int, entry: tuple[int, int, int] | None = None) -> None:
-        # Emit the closed paths as a solution or, given a memo entry, the
-        # closed paths followed by each suffix it holds.
+    def complete(
+        free: int,
+        entry: tuple[int, ...] | None = None,
+        prefix: list[int] | tuple[int, ...] = (),
+    ) -> None:
+        # Emit the closed paths as a solution or, given a memo entry and
+        # the current path's prefix, each suffix the entry holds after
+        # the closed paths and the prefix.
         nonlocal replayed
         if require_spanning and free:
             return
@@ -487,20 +515,32 @@ def solve(
             used = used_masks[-1]
         paths = tuple(done_paths)
         if entry is not None:
-            # A stored suffix was checked when it was first emitted;
-            # here it must only miss the closed paths.
-            first, end, prefix = entry
+            # The prefix is checked once per hit, as a path from s_j to
+            # the head.  A stored suffix was checked when it was first
+            # emitted; here it must only miss the closed paths and the
+            # prefix.
+            first, end, source, length = entry
             j = len(paths)
+            whole = len(prefix) == 1 == length  # a pair start: s_j alone
+            if whole and not used >> prefix[0] & 1:
+                used |= 1 << prefix[0]
+            else:
+                used = _check_closed(full, ((search_pairs[j][0], prefix[-1]),), (prefix,), used)
+            current = tuple(prefix)
             tick = replayed + 1 - first  # tick + i numbers the suffix from 1
             replayed += end - first
             for i in range(first, end):
                 if not (tick + i) & 4095 and time.monotonic() > deadline:
                     raise _BudgetExhausted
-                mask = found_masks[i] ^ prefix
+                mask = found_masks[i] ^ source
                 if used & mask:
                     raise ValueError(f"paths share vertices {list(iter_bits(used & mask))}")
                 found_masks.append(used | mask)
-                found.append(paths + found[i][j:])
+                tail = found[i]
+                if whole:
+                    found.append(paths + tail[j:])
+                else:
+                    found.append(paths + (current + tail[j][length:],) + tail[j + 1:])
                 if cap is not None and len(found) >= cap:
                     raise _CapHit
             return
@@ -512,6 +552,7 @@ def solve(
     def feasible(
         idx: int,
         head: int,
+        t_cur: int,
         free: int,
         labels: tuple[list[int], int],
         stale: int,
@@ -526,28 +567,8 @@ def solve(
         # vertex just entered when its component stayed whole (the
         # current pair, and each pending pair next to that vertex), or
         # -1 at the root and after a split or an entry into an
-        # unlabelled component (every pair).
-        t_cur = search_pairs[idx][1]
-        if idx == last and not require_spanning:
-            # One question only: flood out of the head's neighborhood and
-            # stop as soon as the flood touches t_cur's.  No labels are
-            # kept; the children are last-pair nodes too.
-            if not stale or adj[head] >> t_cur & 1:
-                return no_labels
-            target = adj[t_cur] & free
-            frontier = adj[head] & free
-            rest = free ^ frontier
-            while frontier:
-                if frontier & target:
-                    return no_labels
-                grow = 0
-                while frontier:
-                    low = frontier & -frontier
-                    grow |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = grow & rest
-                rest ^= frontier
-            return None
+        # unlabelled component (every pair).  The search tests the last
+        # pair itself when there is no spanning test.
         # Every pair must be joinable: adjacent ends, or one component of
         # free touching both ends' neighborhoods.  Components are flooded
         # on first touch and shared by all pairs and the spanning check.
@@ -610,33 +631,71 @@ def solve(
     # Depth-first search with an explicit stack, so path length is not
     # bounded by the interpreter's recursion limit.  A frame is
     # [pair index, free set, t of the pair, candidates still to try,
-    # labels from feasible()]: candidates are a bitmask taken lowest bit
-    # first, or for min-degree a list of (degree, v) sorted in reverse
-    # and popped from the end.  route holds the vertex lists of the
-    # pairs being routed, the current pair last.
+    # labels from feasible(), (memo key, len(found) on entry) or None]:
+    # candidates are a bitmask taken lowest bit first, or for min-degree
+    # a list of (degree, v) sorted in reverse and popped from the end.
+    # route holds the vertex lists of the pairs being routed, the
+    # current pair last.
     stack: list[list] = []
     route: list[list[int]] = []
     aborted = False
     try:
         if search_pairs:
-            idx, head, free = 0, search_pairs[0][0], free0
+            idx, free = 0, free0
+            head, t = search_pairs[0]
             labels = no_labels
             stale = -1
+            key = None
             route.append([head])
+            # The node count at which the budgets are next tested: every
+            # 4096th node reads the clock, and node max_nodes + 1 stops.
+            poll = nodes - nodes % 4096 + 4096
+            if poll > max_nodes:
+                poll = max_nodes + 1
             while True:
-                # Enter the node (idx, head, free) with the labels it
-                # inherits: count it, prune it or push its frame.  A
-                # pruned node gets a frame without candidates, which the
-                # loop below pops and undoes.
+                # Enter the node (idx, head, free), t being t_idx, with
+                # the labels it inherits and its memo key: count it,
+                # prune it or push its frame.  A pruned node gets a
+                # frame without candidates, which the loop below pops
+                # and undoes.
                 nodes += 1
-                if nodes > max_nodes:
-                    raise _BudgetExhausted
-                if nodes % 4096 == 0 and time.monotonic() > deadline:
-                    raise _BudgetExhausted
-                t = search_pairs[idx][1]
-                labels = feasible(idx, head, free, labels, stale)
+                if nodes >= poll:
+                    if nodes > max_nodes or time.monotonic() > deadline:
+                        raise _BudgetExhausted
+                    poll = nodes + 4096
+                    if poll > max_nodes:
+                        poll = max_nodes + 1
+                if not (stale or require_spanning):
+                    # Nothing to re-test: a pair start, whose free set
+                    # is its parent's, or a last-pair child whose memo
+                    # key showed its pair joinable.
+                    pass
+                elif idx != plain_last:
+                    labels = feasible(idx, head, t, free, labels, stale)
+                else:
+                    # One question only: flood out of the head's
+                    # neighborhood and stop as soon as the flood touches
+                    # t's.  The labels are kept only when the question
+                    # needs no answer, so that the next memo key reads
+                    # them.
+                    labels = no_labels
+                    if not adj[head] >> t & 1:
+                        target = adj[t] & free
+                        frontier = adj[head] & free
+                        rest = free ^ frontier
+                        while not frontier & target:
+                            if not frontier:
+                                labels = None
+                                break
+                            grow = 0
+                            while frontier:
+                                low = frontier & -frontier
+                                grow |= adj[low.bit_length() - 1]
+                                frontier ^= low
+                            frontier = grow & rest
+                            rest ^= frontier
                 if labels is None:
-                    stack.append([idx, free, t, 0, None])
+                    stack.append([idx, free, t, 0, None, key and (key, len(found))])
                 else:
                     candidates = adj[head] & (free | (1 << t))
                     if min_degree and candidates:
@@ -648,26 +707,31 @@ def solve(
                             candidates ^= low
                         ranked.sort(reverse=True)
                         candidates = ranked
-                    stack.append([idx, free, t, candidates, labels])
+                    stack.append([idx, free, t, candidates, labels, key and (key, len(found))])
                 # Find the next node to enter.
                 while stack:
                     frame = stack[-1]
-                    idx, free, t, candidates, labels = frame
+                    idx, free, t, candidates, labels, opened = frame
                     if not candidates:
+                        # The subtree finished below the cap: keep what
+                        # it emitted, then undo its move.
                         stack.pop()
                         path = route[-1]
+                        if opened is not None:
+                            key, first = opened
+                            end = len(found)
+                            if end > first:
+                                prefix = used_masks[idx]
+                                for u in path:
+                                    prefix |= 1 << u
+                                memo[key] = (first, end, prefix, len(path))
+                            else:
+                                memo[key] = ()
                         if len(path) > 1:
                             path.pop()
                         else:
                             route.pop()
                             if idx:
-                                if memo is not None:
-                                    # The pair-idx subtree finished below
-                                    # the cap: keep what it emitted.
-                                    key, first = opened.pop()
-                                    end = len(found)
-                                    memo[key] = (
-                                        (first, end, used_masks[idx]) if end > first else ())
                                 done_paths.pop()
                                 used_masks.pop()
                         continue
@@ -678,7 +742,8 @@ def solve(
                         frame[3] = candidates ^ low
                         v = low.bit_length() - 1
                     if v != t:
-                        route[-1].append(v)
+                        path = route[-1]
+                        path.append(v)
                         bit = 1 << v
                         head, free = v, free ^ bit
                         comps, labelled = labels
@@ -709,6 +774,19 @@ def solve(
                             # A component no label covers may have split
                             # unseen: every pair is re-tested.
                             stale = -1
+                        key = None
+                        if nodes > memo_from:
+                            # Look the child up before entering it, so a
+                            # hit costs no node.
+                            key, labels = _region_key(adj, search_pairs, idx, v, free, labels)
+                            entry = memo.get(key)
+                            if entry is not None:
+                                if entry:
+                                    complete(free, entry, path)
+                                path.pop()
+                                continue
+                            if idx == last and (key[2] or adj[v] >> t & 1):
+                                stale = 0  # the key showed the pair joinable
                         break
                     # Closing a pair leaves free, and so the labels and
                     # every pair test, as they are.
@@ -719,19 +797,21 @@ def solve(
                         continue
                     used_masks.append(None)
                     idx += 1
+                    head, t = search_pairs[idx]
+                    key = None
                     if memo is not None:
-                        key, labels = _suffix_key(adj, search_pairs, idx, free, labels)
+                        key, labels = _region_key(adj, search_pairs, idx, head, free, labels)
                         frame[4] = labels
                         entry = memo.get(key)
                         if entry is not None:
                             if entry:
-                                complete(free, entry)
+                                complete(free, entry, (head,))
                             done_paths.pop()
                             used_masks.pop()
                             continue
-                        opened.append((key, len(found)))
+                    if idx == plain_last and nodes <= memo_from:
+                        labels = no_labels  # only a memo key reads them
                     stale = 0
-                    head = search_pairs[idx][0]
                     route.append([head])
                     break
                 else:

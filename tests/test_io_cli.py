@@ -1,6 +1,7 @@
 """Serialization formats and the command line front end."""
 
 import json
+import random
 import time
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from gridlinkage import (
     make_grid,
     parse_instance,
     parse_solution,
+    random_instance,
     read_edge_list,
     serialize_instance,
     serialize_solution,
@@ -22,6 +24,7 @@ from gridlinkage import (
     solve,
     write_edge_list,
 )
+from gridlinkage import cli as cli_module
 from gridlinkage.cli import (
     EXIT_ABORTED,
     EXIT_CHECK_FAILED,
@@ -439,6 +442,31 @@ class TestCli:
     def test_oracle_agreement(self, capsys):
         assert main(["oracle", "--count", "10", "--max-vertices", "8"]) == EXIT_OK
         assert "agree" in capsys.readouterr().out
+
+    def test_oracle_skips_the_reference_when_aborted(self, monkeypatch, capsys):
+        # The reference has no budget, so an aborted solve must not reach
+        # it: at 40 vertices one reference call can run for minutes.
+        def reference(instance, require_spanning=False):
+            raise AssertionError("reference called for an aborted instance")
+
+        monkeypatch.setattr(cli_module, "brute_force_oracle", reference)
+        assert main(["oracle", "--count", "3", "--max-vertices", "40",
+                     "--budget-nodes", "10"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.count("aborted, skipping comparison") == 3
+        assert "oracle agreement: 3/3 instances" in captured.out
+
+    @pytest.mark.parametrize("max_pairs", ["0", "-2"])
+    def test_oracle_needs_one_pair(self, max_pairs, capsys):
+        assert main(["oracle", "--max-pairs", max_pairs]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "max_pairs must be at least 1" in captured.err
+        assert captured.out == ""
+
+    def test_random_instance_needs_one_pair(self):
+        for max_pairs in (0, -2):
+            with pytest.raises(ValueError, match="max_pairs must be at least 1"):
+                random_instance(random.Random(0), max_pairs=max_pairs)
 
     def test_usage_errors(self):
         assert main([]) == EXIT_USAGE

@@ -260,7 +260,7 @@ SPLIT_PINNED = {
     "grid-False-decide-1402-ec245fcf94420ca7":
         ("grid", False, "decide", 1402, "659c196faf04c372"),
     "grid-False-enumerate_all-105532-e2386517d57b70c9":
-        ("grid", False, "enumerate_all", 84824, "c997584519b747d8"),
+        ("grid", False, "enumerate_all", 25530, "c997584519b747d8"),
     "grid-True-decide-2885-51eded59daf875cd":
         ("grid", True, "decide", 2885, "a9510df6f2314697"),
     "grid-True-enumerate_all-3605-dbcaede5d40aa0ac":
@@ -350,7 +350,7 @@ PENDING_PINNED = {
     "grid-False-False-decide-6012-21fd8ef5efa13c6f":
         ("grid", False, False, "decide", 5996, "fc8ff442f141c323"),
     "grid-False-False-enumerate_all-23804-abd2c34f037a3c08":
-        ("grid", False, False, "enumerate_all", 15225, "4c41aac8b0e2da23"),
+        ("grid", False, False, "enumerate_all", 12257, "4c41aac8b0e2da23"),
     "grid-False-True-decide-924-f611e4c669f345a7":
         ("grid", False, True, "decide", 924, "8211c407b3cf1c21"),
     "grid-False-True-enumerate_all-2871-9621a82f779e851c":

@@ -509,9 +509,11 @@ class TestIrrelevantVertices:
         assert rep.irrelevant == rep.relevant == frozenset()
 
 
-# The suffix memo: once pair j - 1 closes, the later pairs' solutions
-# depend only on the free region they can use, so solve() replays what
-# an earlier subtree with the same region emitted.
+# The region memo: what the subtree of a search node emits depends only
+# on its pair, its head and the free region the rest of its paths can
+# use, so solve() replays what an earlier subtree with the same key
+# emitted.  Pair starts are keyed from the first node on, the other
+# nodes once the search has entered MEMO_MIN_NODES nodes.
 
 
 def _raw_5x6() -> Instance:
@@ -580,13 +582,14 @@ def _paths_digest(outcome) -> str:
 
 
 class TestSuffixMemo:
-    # nodes_explored per (order, pair_order); the search without the
-    # memo took 69,114 (input) and 56,403 (auto).
+    # nodes_explored per (order, pair_order).  The search without the
+    # memo took 69,114 (input) and 56,403 (auto); with keys at pair
+    # starts only, 18,587 / 26,487 / 18,586 / 26,489.
     RAW_5X6_NODES = {
-        ("ascending", "input"): 18587,
-        ("ascending", "auto"): 26487,
-        ("min-degree", "input"): 18586,
-        ("min-degree", "auto"): 26489,
+        ("ascending", "input"): 3339,
+        ("ascending", "auto"): 3776,
+        ("min-degree", "input"): 3333,
+        ("min-degree", "auto"): 3762,
     }
 
     def test_raw_5x6_enumeration_matches_oracle(self):
@@ -602,7 +605,8 @@ class TestSuffixMemo:
         # The digest was recorded by the search without the memo: a cap
         # keeps the solutions the search meets first, so replays must
         # emit in the order the search would, and capped min-degree
-        # searches keep no memo.  That search took 648,876 nodes.
+        # searches keep no memo.  That search took 648,876 nodes, and
+        # the search with keys at pair starts only 630,800.
         total, digests = 0, []
         for inst in _capped_batch():
             for order, pair_order in ORDERS:
@@ -612,7 +616,7 @@ class TestSuffixMemo:
                     total += out.nodes_explored
                     digests.append(_paths_digest(out))
         got = hashlib.sha256(repr(digests).encode()).hexdigest()[:16]
-        assert (total, got) == (630800, "114082095792f879")
+        assert (total, got) == (624612, "114082095792f879")
 
     @pytest.mark.parametrize("pair_order", ["input", "auto"])
     def test_min_degree_rank_outside_the_region(self, pair_order):
@@ -653,8 +657,9 @@ class TestSuffixMemo:
 
     def test_deadline_inside_a_replay(self, monkeypatch):
         # Replays read the clock from complete() at every 4096th suffix
-        # they emit; this enumeration replays over 12,288, so let two
-        # polls pass, then put the deadline behind the third.
+        # they emit; this enumeration replays over 12,288 (and searches
+        # fewer than 4,096 nodes, so the search itself never reads it),
+        # so let two polls pass, then put the deadline behind the third.
         replays = []
 
         def monotonic() -> float:
@@ -673,9 +678,169 @@ class TestSuffixMemo:
         # A key that confuses regions of the same size replays suffixes
         # that meet the closed paths; the replay's check reports it as
         # check_linkage() would.
-        def coarse_key(adj, search_pairs, j, free, labels):
-            return (j, free.bit_count()), labels
+        def coarse_key(adj, search_pairs, idx, head, free, labels):
+            return (idx, head, free.bit_count()), labels
 
-        monkeypatch.setattr(solver_module, "_suffix_key", coarse_key)
+        monkeypatch.setattr(solver_module, "_region_key", coarse_key)
         with pytest.raises(ValueError, match="paths share vertices"):
             solve(_raw_5x6(), mode="enumerate_all")
+
+    def test_hit_checks_the_current_path(self, monkeypatch):
+        # Hand the search on the DP's edges a non-edge (3, 7) of the 3x3
+        # grid.  With every node keyed, the paths through it reach keys
+        # that other paths stored, so they are only ever emitted by
+        # replays; the check of the current path at each hit must
+        # report the non-edge as check_linkage() would.
+        monkeypatch.setattr(solver_module, "MEMO_MIN_NODES", 0)
+        calls = []
+
+        def masks(graph):
+            adj = adjacency_masks(graph)
+            calls.append(graph)
+            if len(calls) == 2:  # the DP's edges, after the full graph
+                adj[3] |= 1 << 7
+                adj[7] |= 1 << 3
+            return adj
+
+        monkeypatch.setattr(solver_module, "adjacency_masks", masks)
+        graph, layout = make_grid(3, 3)
+        with pytest.raises(ValueError, match=r"\(3, 7\) is not an edge"):
+            solve(Instance.make(graph, [(0, 1)], layout), mode="enumerate_all")
+
+    @staticmethod
+    def _memo_free(monkeypatch) -> None:
+        # A fresh key for every lookup never hits: the search then runs
+        # without reuse, as a reference for the order it emits in.
+        fresh = iter(range(sys.maxsize))
+
+        def unique_key(adj, search_pairs, idx, head, free, labels):
+            return (next(fresh), idx, 0), labels
+
+        monkeypatch.setattr(solver_module, "_region_key", unique_key)
+
+    @pytest.mark.parametrize("min_nodes", [0, solver_module.MEMO_MIN_NODES])
+    def test_matches_the_reference(self, monkeypatch, min_nodes):
+        # Grids from 4x4 to 5x6 with border pairs, whose searches pass
+        # the activation constant, and sparse graphs of 8-14 vertices,
+        # whose searches mostly stay below it; with min_nodes 0 every
+        # node of either is keyed.  enumerate_all must return what the
+        # unpruned reference returns, and a capped search what the same
+        # search without reuse keeps.
+        monkeypatch.setattr(solver_module, "MEMO_MIN_NODES", min_nodes)
+        batch = _border_grid_batch() + _sparse_batch()
+        memo_runs = []
+        for inst in batch:
+            want = [link.paths for link in brute_force_oracle(inst).solutions]
+            for order, pair_order in ORDERS:
+                out = solve(inst, mode="enumerate_all", order=order, pair_order=pair_order)
+                assert [link.paths for link in out.solutions] == want
+                memo_runs.append([
+                    [link.paths for link in solve(inst, mode="count_up_to", cap=cap, order=order,
+                                                  pair_order=pair_order).solutions]
+                    for cap in (1, 2, 3, 7, 50)
+                ])
+        self._memo_free(monkeypatch)
+        free_runs = [
+            [[link.paths for link in solve(inst, mode="count_up_to", cap=cap, order=order,
+                                           pair_order=pair_order).solutions]
+             for cap in (1, 2, 3, 7, 50)]
+            for inst in batch for order, pair_order in ORDERS
+        ]
+        assert memo_runs == free_runs
+
+    @pytest.mark.parametrize("min_nodes", [0, solver_module.MEMO_MIN_NODES])
+    def test_every_entry_is_what_its_node_emits(self, monkeypatch, min_nodes):
+        # Read the memo of each search as solve() returns, and check
+        # each entry against a memo-free enumeration from its key alone:
+        # the rest of pair idx from head, then the later pairs, all
+        # inside the region, in ascending order.
+        monkeypatch.setattr(solver_module, "MEMO_MIN_NODES", min_nodes)
+        seen = []
+
+        def grab(frame, event, arg):
+            if event == "return" and frame.f_code is solver_module.solve.__code__:
+                seen.append({name: frame.f_locals[name] for name in ("memo", "found", "found_masks")})
+
+        checked = 0
+        for inst in [_raw_5x6()] + _border_grid_batch()[:4] + _sparse_batch():
+            adj = adjacency_masks(inst.graph)
+            seen.clear()
+            sys.setprofile(grab)
+            try:
+                solve(inst, mode="enumerate_all")
+            finally:
+                sys.setprofile(None)
+            (memo, found, found_masks), = [tuple(d.values()) for d in seen]
+            for (idx, head, region), entry in memo.items():
+                want = _suffixes(adj, inst.pairs, idx, head, region)
+                if not entry:
+                    assert want == []
+                    continue
+                first, end, prefix, length = entry
+                got = [(found[i][idx][length:],) + found[i][idx + 1:] for i in range(first, end)]
+                assert got == want
+                for i, suffix in zip(range(first, end), got):
+                    mask = 0
+                    for v in (v for path in suffix for v in path):
+                        mask |= 1 << v
+                    assert found_masks[i] ^ prefix == mask
+                checked += 1
+        assert checked > 1000
+
+
+def _border_grid_batch() -> list[Instance]:
+    """Eight seeded grids from 4x4 to 5x6 with 2-3 border pairs that do
+    not interleave, searched on every edge."""
+    rng = random.Random("region-memo")
+    batch = []
+    for rows, cols in ((4, 4), (4, 5), (5, 5), (5, 6)) * 2:
+        graph, _ = make_grid(rows, cols)
+        batch.append(Instance.make(graph, _non_interleaving_pairs(rng, rows, cols,
+                                                                  rng.randint(2, 3))))
+    return batch
+
+
+def _sparse_batch() -> list[Instance]:
+    """Twelve seeded sparse connected graphs of 8-14 vertices (a random
+    tree plus chords) with 1-3 pairs."""
+    rng = random.Random("region-memo/sparse")
+    batch = []
+    for _ in range(12):
+        n = rng.randint(8, 14)
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        for _ in range(rng.randint(n // 3, n // 2)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        k = rng.randint(1, 3)
+        ends = rng.sample(range(n), 2 * k)
+        batch.append(Instance.make(Graph.from_edges(n, sorted(edges)),
+                                   [(ends[2 * j], ends[2 * j + 1]) for j in range(k)]))
+    return batch
+
+
+def _suffixes(adj: list[int], pairs, idx: int, head: int,
+              region: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every way to finish pair idx from head and then link the later
+    pairs, with every inner vertex in region, as (rest of pair idx's
+    path after head, later paths...), in the order of a search that
+    tries neighbors by ascending id."""
+    out = []
+
+    def walk(j: int, v: int, path: tuple[int, ...], free: int,
+             done: tuple[tuple[int, ...], ...]) -> None:
+        t = pairs[j][1]
+        step = adj[v] & (free | 1 << t)
+        while step:
+            low = step & -step
+            step ^= low
+            w = low.bit_length() - 1
+            if w != t:
+                walk(j, w, path + (w,), free ^ low, done)
+            elif j + 1 == len(pairs):
+                out.append(done + (path + (t,),))
+            else:
+                s = pairs[j + 1][0]
+                walk(j + 1, s, (s,), free, done + (path + (t,),))
+
+    walk(idx, head, (), region, ())
+    return out
