@@ -658,7 +658,7 @@ class TestSuffixMemo:
     def test_deadline_inside_a_replay(self, monkeypatch):
         # Replays read the clock from complete() at every 4096th suffix
         # they emit; this enumeration replays over 12,288 (and searches
-        # fewer than 4,096 nodes, so the search itself never reads it),
+        # fewer than 4,096 nodes, so the search never polls the clock),
         # so let two polls pass, then put the deadline behind the third.
         replays = []
 
