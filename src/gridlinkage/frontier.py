@@ -164,15 +164,14 @@ _Step = tuple[tuple[int, int], int, int, int, int, int, int, tuple[tuple[int, bo
 
 
 def _order(instance: Instance) -> list[int]:
-    """Column-major (col, row) order from the grid layout, vertices off
-    the lattice last.  Without a layout, a greedy order: next comes the
+    """Column-major (col, row) order of the layout's cells, which hold
+    every vertex.  Without a layout, a greedy order: next comes the
     vertex with the most neighbours already placed, then the one with
     the fewest neighbours, then the lowest number."""
-    n = instance.graph.vertex_count
     if instance.layout is not None:
         cells = instance.layout.cells
-        order = sorted(cells, key=lambda v: (cells[v][1], cells[v][0]))
-        return order + [v for v in range(n) if v not in cells]
+        return sorted(cells, key=lambda v: (cells[v][1], cells[v][0]))
+    n = instance.graph.vertex_count
     adjacency = instance.graph.adjacency
     placed_neighbours = [0] * n
     placed = [False] * n
@@ -196,28 +195,19 @@ def _order(instance: Instance) -> list[int]:
 
 def _planar_cells(instance: Instance) -> tuple[dict[int, tuple[int, int]], set[Edge]] | None:
     """The layout's cells and the edges that are not unit lattice edges,
-    when every vertex has a cell of its own and the layout draws the
-    graph without crossings (those edges as nested arcs outside the
-    border, as graphs.is_planar_certificate checks); otherwise, and
-    without a layout, None."""
+    when the layout draws the graph without crossings (those edges as
+    nested arcs outside the border, as graphs.is_planar_certificate
+    checks); otherwise None.  Instance has put every vertex on a cell
+    of its own."""
     layout = instance.layout
-    n = instance.graph.vertex_count
-    if layout is None or not n:
-        return None
     cells = layout.cells
-    if cells.keys() != set(range(n)):
-        return None
-    rows, cols = zip(*cells.values())
-    if (len(set(cells.values())) != n or min(rows) < 1 or max(rows) > layout.rows
-            or min(cols) < 1 or max(cols) > layout.cols):
-        return None
     arcs = set()
     for u, w in instance.graph.edges:
         (r, c), (q, d) = cells[u], cells[w]
         if abs(r - q) + abs(c - d) != 1:
             arcs.add((u, w))
     # Lattice edges always pass the certificate, so it need only see the arcs.
-    if not is_planar_certificate(Graph(n, frozenset(arcs)), layout):
+    if not is_planar_certificate(Graph(instance.graph.vertex_count, frozenset(arcs)), layout):
         return None
     return cells, arcs
 

@@ -2,17 +2,13 @@
 
 The graph type is a frozen value object: a vertex count plus a set of
 undirected edges over dense integer ids.  Grids carry a separate layout
-describing where each vertex sits in the drawing (lattice cell, role,
-host edge for subdivision vertices).  Everything downstream (solver,
-width checks, rendering) works against these two types.
+that puts every vertex on a lattice cell of its own; a vertex's role is
+read off its cell.  Everything downstream (solver, width checks,
+rendering) works against these two types.
 
 Roles:
-    grid-border   original lattice vertex on the outer boundary
-    grid-inner    vertex not on the outer boundary (originals, and
-                  subdivision vertices whose host edge joins two inner
-                  endpoints)
-    subdivision   subdivision vertex that is not inner
-    arc-exterior  vertex drawn outside the lattice; carries no cell
+    grid-border   vertex on a cell of the outer boundary
+    grid-inner    vertex on any other cell
 """
 
 from __future__ import annotations
@@ -23,10 +19,6 @@ from typing import Iterable, Mapping
 
 ROLE_BORDER = "grid-border"
 ROLE_INNER = "grid-inner"
-ROLE_SUBDIVISION = "subdivision"
-ROLE_EXTERIOR = "arc-exterior"
-
-ROLES = (ROLE_BORDER, ROLE_INNER, ROLE_SUBDIVISION, ROLE_EXTERIOR)
 
 Edge = tuple[int, int]
 
@@ -92,19 +84,18 @@ class Graph:
 
 @dataclass(frozen=True)
 class GridLayout:
-    """Drawing data for a graph derived from an m x n lattice.
+    """Drawing data for a graph on an m x n lattice.
 
     rows/cols count lattice rows and columns; row 1 is the bottom row,
-    column 1 the leftmost column.  cell_of places every original lattice
-    vertex; host_edge records, for each subdivision vertex, the original
-    edge whose drawing segment it sits on.
+    column 1 the leftmost column.  cell_of puts every vertex on a cell
+    of its own inside the lattice (solver.Instance checks this against
+    its graph).  A vertex's role follows from its cell: grid-inner when
+    1 < r < rows and 1 < c < cols, grid-border otherwise.
     """
 
     rows: int
     cols: int
     cell_of: tuple[tuple[int, tuple[int, int]], ...]
-    role_of: tuple[tuple[int, str], ...]
-    host_edge: tuple[tuple[int, Edge], ...] = ()
 
     @cached_property
     def cells(self) -> dict[int, tuple[int, int]]:
@@ -112,17 +103,11 @@ class GridLayout:
 
     @cached_property
     def roles(self) -> dict[int, str]:
-        return dict(self.role_of)
-
-    @cached_property
-    def hosts(self) -> dict[int, Edge]:
-        return dict(self.host_edge)
-
-    def role(self, v: int) -> str:
-        return self.roles[v]
+        return {v: ROLE_INNER if 1 < r < self.rows and 1 < c < self.cols else ROLE_BORDER
+                for v, (r, c) in self.cell_of}
 
     def is_inner(self, v: int) -> bool:
-        return self.roles.get(v) == ROLE_INNER
+        return self.roles[v] == ROLE_INNER
 
 
 def grid_vertex_id(row: int, col: int, cols: int) -> int:
@@ -140,85 +125,21 @@ def make_grid(rows: int, cols: int) -> tuple[Graph, GridLayout]:
         raise ValueError("grid dimensions must be at least 1x1")
     edges: list[Edge] = []
     cell_items: list[tuple[int, tuple[int, int]]] = []
-    role_items: list[tuple[int, str]] = []
     for r in range(1, rows + 1):
         for c in range(1, cols + 1):
             v = grid_vertex_id(r, c, cols)
             cell_items.append((v, (r, c)))
-            inner = 1 < r < rows and 1 < c < cols
-            role_items.append((v, ROLE_INNER if inner else ROLE_BORDER))
             if c < cols:
                 edges.append((v, grid_vertex_id(r, c + 1, cols)))
             if r < rows:
                 edges.append((v, grid_vertex_id(r + 1, c, cols)))
     graph = Graph.from_edges(rows * cols, edges)
-    layout = GridLayout(rows, cols, tuple(cell_items), tuple(role_items))
-    return graph, layout
-
-
-def subdivide_edges(
-    graph: Graph, layout: GridLayout, plan: Mapping[tuple[int, int], int]
-) -> tuple[Graph, GridLayout]:
-    """Replace planned grid edges by paths through fresh vertices.
-
-    plan maps an edge to the number of extra vertices placed on it.  Every
-    planned edge must currently exist and join two original lattice
-    vertices that are adjacent cells; arcs and already-subdivided chain
-    edges are rejected.  New ids are appended after the existing ones, in
-    sorted edge order.  A subdivision vertex is classified grid-inner
-    exactly when both endpoints of its host edge are inner.
-    """
-    cells = layout.cells
-    normalized: list[tuple[Edge, int]] = []
-    seen: set[Edge] = set()
-    for (u, v), count in plan.items():
-        e = normalize_edge(u, v)
-        if count < 0:
-            raise ValueError(f"negative subdivision count for edge {e}")
-        if e in seen:
-            raise ValueError(f"edge {e} planned twice")
-        seen.add(e)
-        if e not in graph.edges:
-            raise ValueError(f"unknown edge {e}")
-        if e[0] not in cells or e[1] not in cells:
-            raise ValueError(f"edge {e} does not join original grid vertices")
-        (r1, c1), (r2, c2) = cells[e[0]], cells[e[1]]
-        if abs(r1 - r2) + abs(c1 - c2) != 1:
-            raise ValueError(f"edge {e} is not a grid edge")
-        normalized.append((e, count))
-
-    edges = set(graph.edges)
-    role_items = list(layout.role_of)
-    host_items = list(layout.host_edge)
-    roles = layout.roles
-    next_id = graph.vertex_count
-    for e, count in sorted(normalized):
-        if count == 0:
-            continue
-        edges.discard(e)
-        inner = roles[e[0]] == ROLE_INNER and roles[e[1]] == ROLE_INNER
-        chain = [e[0]] + list(range(next_id, next_id + count)) + [e[1]]
-        for w in chain[1:-1]:
-            role_items.append((w, ROLE_INNER if inner else ROLE_SUBDIVISION))
-            host_items.append((w, e))
-        next_id += count
-        for a, b in zip(chain, chain[1:]):
-            edges.add(normalize_edge(a, b))
-
-    new_graph = Graph(next_id, frozenset(edges), graph.labels)
-    new_layout = GridLayout(
-        layout.rows,
-        layout.cols,
-        layout.cell_of,
-        tuple(role_items),
-        tuple(host_items),
-    )
-    return new_graph, new_layout
+    return graph, GridLayout(rows, cols, tuple(cell_items))
 
 
 def inner_vertices(layout: GridLayout) -> frozenset[int]:
     """Ids of all vertices classified grid-inner."""
-    return frozenset(v for v, role in layout.role_of if role == ROLE_INNER)
+    return frozenset(v for v, role in layout.roles.items() if role == ROLE_INNER)
 
 
 def validate_path(graph: Graph, path: tuple[int, ...]) -> None:
@@ -312,82 +233,29 @@ def _side_position(cell: tuple[int, int], side: str) -> int:
 def is_planar_certificate(graph: Graph, layout: GridLayout) -> bool:
     """Certify that the layout induces a crossing-free drawing.
 
-    Grid edges must join lattice-adjacent cells, subdivision chains must
-    run along their host edge, and every remaining edge must be drawable
-    as an arc outside one border side with no two arcs around the same
-    side interleaving.  Anything the certificate cannot place returns
-    False; False means not certified, not a proof of non-planarity.
+    Every vertex must have a cell, and every edge that does not join
+    lattice-adjacent cells must be drawable as an arc outside one border
+    side, with no two arcs around the same side interleaving.  False
+    means not certified, not a proof of non-planarity.
     """
     cells = layout.cells
-    roles = layout.roles
-    hosts = layout.hosts
-    for v in range(graph.vertex_count):
-        if v not in roles:
-            return False
-        if roles[v] == ROLE_EXTERIOR:
-            return False
+    if any(v not in cells for v in range(graph.vertex_count)):
+        return False
 
-    chain_edges: dict[Edge, set[Edge]] = {}
     side_arcs: dict[str, list[tuple[int, int]]] = {side: [] for side in _SIDES}
     for u, v in graph.sorted_edges():
-        u_cell, v_cell = cells.get(u), cells.get(v)
-        if u_cell is not None and v_cell is not None:
-            dr = abs(u_cell[0] - v_cell[0])
-            dc = abs(u_cell[1] - v_cell[1])
-            if dr + dc == 1:
-                continue  # lattice edge
-            common = _sides_of(u_cell, layout.rows, layout.cols) & _sides_of(
-                v_cell, layout.rows, layout.cols
-            )
-            if not common:
-                return False
-            for side in common:
-                a = _side_position(u_cell, side)
-                b = _side_position(v_cell, side)
-                side_arcs[side].append((min(a, b), max(a, b)))
-            continue
-        # at least one endpoint is a subdivision vertex
-        host = hosts.get(u) or hosts.get(v)
-        if host is None:
+        u_cell, v_cell = cells[u], cells[v]
+        if abs(u_cell[0] - v_cell[0]) + abs(u_cell[1] - v_cell[1]) == 1:
+            continue  # lattice edge
+        common = _sides_of(u_cell, layout.rows, layout.cols) & _sides_of(
+            v_cell, layout.rows, layout.cols
+        )
+        if not common:
             return False
-        for w in (u, v):
-            if w in hosts:
-                if hosts[w] != host:
-                    return False
-            elif w not in host:
-                return False
-        chain_edges.setdefault(host, set()).add((u, v))
-
-    for host, members in chain_edges.items():
-        if host in graph.edges:
-            return False  # chain next to a surviving copy of its host edge
-        subs = [w for w in hosts if hosts[w] == host]
-        if len(members) != len(subs) + 1:
-            return False
-        degree: dict[int, int] = {}
-        for a, b in members:
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
-        for w in subs:
-            if degree.get(w) != 2:
-                return False
-        if degree.get(host[0]) != 1 or degree.get(host[1]) != 1:
-            return False
-        # degree pattern on a connected vertex set forces a single path;
-        # check connectivity by walking from one host endpoint
-        adj: dict[int, list[int]] = {}
-        for a, b in members:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        seen = {host[0]}
-        stack = [host[0]]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(subs) + 2:
-            return False
+        for side in common:
+            a = _side_position(u_cell, side)
+            b = _side_position(v_cell, side)
+            side_arcs[side].append((min(a, b), max(a, b)))
 
     for arcs in side_arcs.values():
         arcs.sort()

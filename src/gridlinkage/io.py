@@ -58,8 +58,9 @@ def instance_to_document(instance: Instance) -> dict:
             "rows": layout.rows,
             "cols": layout.cols,
             "cells": {str(v): list(cell) for v, cell in layout.cell_of},
-            "roles": {str(v): role for v, role in layout.role_of},
-            "hosts": {str(v): list(edge) for v, edge in layout.host_edge},
+            # Derived from the cells; kept, with "hosts", for format 1.
+            "roles": {str(v): role for v, role in layout.roles.items()},
+            "hosts": {},
         }
     return doc
 
@@ -77,6 +78,9 @@ def document_to_instance(doc: dict) -> Instance:
         block = doc.get("layout")
         layout = None
         if block is not None:
+            if block["hosts"] != {}:
+                raise ValueError("layout places vertices on host edges, "
+                                 "which this version does not support")
             layout = GridLayout(
                 int(block["rows"]),
                 int(block["cols"]),
@@ -84,20 +88,16 @@ def document_to_instance(doc: dict) -> Instance:
                     (int(v), (int(r), int(c)))
                     for v, (r, c) in block["cells"].items()
                 )),
-                tuple(sorted(
-                    (int(v), str(role)) for v, role in block["roles"].items()
-                )),
-                tuple(sorted(
-                    (int(v), (int(a), int(b)))
-                    for v, (a, b) in block["hosts"].items()
-                )),
             )
-        return Instance.make(
+        instance = Instance.make(
             graph,
             [(int(s), int(t)) for s, t in doc["pairs"]],
             layout,
             doc.get("meta", {}),
         )
+        if layout is not None and layout.roles != {int(v): r for v, r in block["roles"].items()}:
+            raise ValueError("layout roles disagree with the roles of their cells")
+        return instance
     except KeyError as exc:
         raise ValueError(f"instance document lacks field {exc.args[0]!r}") from None
     except (TypeError, AttributeError) as exc:

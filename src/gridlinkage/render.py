@@ -9,7 +9,7 @@ structure in distinct strokes, one per terminal pair.
 
 from __future__ import annotations
 
-from .graphs import ROLE_INNER, normalize_edge
+from .graphs import normalize_edge
 from .solver import Instance, Linkage
 
 CELL = 48.0
@@ -20,31 +20,17 @@ PALETTE = (
 
 
 def _positions(instance: Instance) -> dict[int, tuple[float, float]]:
-    # Lattice vertices sit on their cell; a subdivision vertex sits on
-    # its host edge, chains spaced evenly in ascending-id order.
+    # Every vertex sits on its cell, row 1 at the bottom.
     layout = instance.layout
     if layout is None:
         raise ValueError("rendering needs a grid layout")
-    pos: dict[int, tuple[float, float]] = {}
-    for v, (r, c) in layout.cells.items():
-        pos[v] = ((c - 1) * CELL, (layout.rows - r) * CELL)
-    chains: dict[tuple[int, int], list[int]] = {}
-    for v, edge in sorted(layout.hosts.items()):
-        chains.setdefault(edge, []).append(v)
-    for (u, w), members in chains.items():
-        (x1, y1), (x2, y2) = pos[u], pos[w]
-        step = 1.0 / (len(members) + 1)
-        for i, v in enumerate(members, start=1):
-            pos[v] = (x1 + (x2 - x1) * step * i, y1 + (y2 - y1) * step * i)
-    return pos
+    return {v: ((c - 1) * CELL, (layout.rows - r) * CELL) for v, (r, c) in layout.cell_of}
 
 
 def _arc_side(instance: Instance, u: int, v: int) -> str | None:
     # A non-lattice edge between two cells of one border row or column.
     layout = instance.layout
     cells = layout.cells
-    if u not in cells or v not in cells:
-        return None
     (r1, c1), (r2, c2) = cells[u], cells[v]
     if abs(r1 - r2) + abs(c1 - c2) <= 1:
         return None
@@ -131,8 +117,6 @@ def render_svg(instance: Instance, solution: Linkage | None = None) -> str:
         terminal_name[t] = f"t{i}"
     parts.append('<g font-family="monospace" font-size="13">')
     for v in range(graph.vertex_count):
-        if v not in pos:
-            continue
         x, y = pos[v]
         if v in terminal_name:
             parts.append(
@@ -142,8 +126,7 @@ def render_svg(instance: Instance, solution: Linkage | None = None) -> str:
                 f'<text x="{x + 8:.1f}" y="{y - 8:.1f}">{terminal_name[v]}</text>'
             )
         else:
-            inner = layout.roles.get(v) == ROLE_INNER
-            fill = "#fff" if inner else "#555"
+            fill = "#fff" if layout.is_inner(v) else "#555"
             parts.append(
                 f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="{fill}" '
                 'stroke="#555" stroke-width="1.2"/>'
@@ -175,14 +158,13 @@ def render_dot(instance: Instance, solution: Linkage | None = None) -> str:
         '  node [shape=circle, fontsize=10, width=0.25, fixedsize=true];',
     ]
     for v in range(graph.vertex_count):
-        attrs = [f'label="{terminal_name.get(v, v)}"']
-        role = layout.roles.get(v)
-        if role is not None:
-            attrs.append(f'role="{role}"')
-        if v in pos:
-            x, y = pos[v]
-            flipped = (layout.rows - 1) * CELL - y
-            attrs.append(f'pos="{x / CELL:.3f},{flipped / CELL:.3f}!"')
+        x, y = pos[v]
+        flipped = (layout.rows - 1) * CELL - y
+        attrs = [
+            f'label="{terminal_name.get(v, v)}"',
+            f'role="{layout.roles[v]}"',
+            f'pos="{x / CELL:.3f},{flipped / CELL:.3f}!"',
+        ]
         if v in terminal_name:
             attrs.append("style=filled, fillcolor=black, fontcolor=white")
         lines.append(f"  {v} [{', '.join(attrs)}];")

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .bitsets import adjacency_masks, components, iter_bits, split_components
-from .graphs import Graph, GridLayout, ROLE_BORDER, ROLE_EXTERIOR, validate_path
+from .graphs import Graph, GridLayout, validate_path
 
 DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_TIME_BUDGET = 600.0
@@ -81,7 +81,12 @@ class SearchAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class Instance:
-    """A disjoint-paths problem: host graph and ordered terminal pairs."""
+    """A disjoint-paths problem: host graph and ordered terminal pairs.
+
+    A grid layout, when given, must put each vertex on a cell of its own
+    inside the lattice and every terminal on a border cell.  This is the
+    one place that checks the layout; its consumers rely on it.
+    """
 
     graph: Graph
     pairs: tuple[tuple[int, int], ...]
@@ -97,13 +102,21 @@ class Instance:
                 if v in seen:
                     raise ValueError(f"terminal {v} appears twice")
                 seen.add(v)
-        if self.layout is not None:
-            roles = self.layout.roles
+        layout = self.layout
+        if layout is not None:
+            cells = layout.cells
+            n = self.graph.vertex_count
+            if len(layout.cell_of) != n or cells.keys() != set(range(n)):
+                raise ValueError("the layout must place each vertex exactly once")
+            if len(set(cells.values())) != n:
+                raise ValueError("two vertices share a layout cell")
+            for v, (r, c) in layout.cell_of:
+                if not (1 <= r <= layout.rows and 1 <= c <= layout.cols):
+                    raise ValueError(f"vertex {v} sits at ({r}, {c}), outside the "
+                                     f"{layout.rows} x {layout.cols} lattice")
             for v in seen:
-                if roles.get(v) not in (ROLE_BORDER, ROLE_EXTERIOR):
-                    raise ValueError(
-                        f"terminal {v} must sit on the grid border or outside the grid"
-                    )
+                if layout.is_inner(v):
+                    raise ValueError(f"terminal {v} must sit on the grid border")
 
     @property
     def meta_map(self) -> dict[str, object]:

@@ -18,12 +18,10 @@ from gridlinkage import (
     candidate_arc_rules,
     expected_crossing_profile,
     instance_digest,
-    irrelevant_vertices,
     is_planar_certificate,
     make_grid,
     rule_by_identifier,
     serialize_instance,
-    subdivide_edges,
     verify_instance,
 )
 from gridlinkage import construction
@@ -230,17 +228,6 @@ class TestCheckBattery:
         rows = verify_instance(instance, max_seconds=1.0)
         assert time.monotonic() - start < 1.5
         assert [verdict for _, verdict, _ in rows] == ["INDETERMINATE"] * 5
-
-    def test_vertices_off_the_lattice_are_counted(self):
-        # Subdivision vertices have no cell; the count takes them last.
-        inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
-        graph, layout = subdivide_edges(inst.graph, inst.layout, {(4, 5): 2, (1, 4): 1})
-        sub = Instance.make(graph, inst.pairs, layout, inst.meta_map)
-        rows = verify_instance(sub)
-        assert rows[:2] == [("uniqueness", "PASS", "linkages: 1 (exact count)"),
-                            ("spanning", "FAIL", "covers 11/12 vertices")]
-        assert rows[-1] == ("no irrelevant vertices", "FAIL",
-                            f"irrelevant: {sorted(irrelevant_vertices(sub).irrelevant)}")
 
     def test_requires_k_and_layout(self):
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)

@@ -45,7 +45,7 @@ from gridlinkage import (
 )
 from gridlinkage import frontier
 from gridlinkage.construction import linkage_checks
-from gridlinkage.graphs import GridLayout, grid_vertex_id
+from gridlinkage.graphs import grid_vertex_id
 
 
 def candidates(ks=(1, 2)):
@@ -310,20 +310,6 @@ class TestPrunes:
             plain, pruned = plain_and_pruned(monkeypatch, instance, require_spanning=spanning)
             assert answer(pruned) == answer(plain)
             assert pruned.count == 1
-
-    def test_a_layout_without_cells(self, monkeypatch):
-        # A layout need place no vertex.  The count then takes the
-        # vertices in index order and runs no non-crossing test.
-        graph, layout = make_grid(6, 3)
-        instance = Instance.make(graph, [(0, 15), (2, 17)], GridLayout(6, 3, (), layout.role_of))
-        for spanning in (False, True):
-            plain, pruned = plain_and_pruned(monkeypatch, instance, require_spanning=spanning)
-            shipped = count_linkages(instance, require_spanning=spanning)
-            assert answer(shipped) == answer(pruned) == answer(plain)
-            reference = count_linkages(stripped(instance), require_spanning=spanning)
-            assert (plain.count, plain.used_by_all, plain.used_by_some) == (
-                reference.count, reference.used_by_all, reference.used_by_some)
-            assert plain.count >= 1
 
 
 def answers(outcome):

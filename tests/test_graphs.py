@@ -1,4 +1,4 @@
-"""Grid construction, subdivision, and crossing counts."""
+"""Grid construction and crossing counts."""
 
 import itertools
 
@@ -8,14 +8,12 @@ from gridlinkage import (
     Graph,
     ROLE_BORDER,
     ROLE_INNER,
-    ROLE_SUBDIVISION,
     crossing_count,
     crossing_report,
     grid_vertex_id,
     inner_vertices,
     is_planar_certificate,
     make_grid,
-    subdivide_edges,
     validate_path,
 )
 from oracles import (
@@ -111,60 +109,6 @@ class TestInnerVertices:
                 assert role == ROLE_INNER
             else:
                 assert role == ROLE_BORDER
-
-
-class TestSubdivideEdges:
-    def test_empty_plan_is_identity(self):
-        graph, layout = make_grid(3, 3)
-        graph2, layout2 = subdivide_edges(graph, layout, {})
-        assert graph2 == graph
-        assert layout2 == layout
-
-    def test_boundary_edge_one_point(self):
-        graph, layout = make_grid(3, 3)
-        graph2, layout2 = subdivide_edges(graph, layout, {(0, 1): 1})
-        assert graph2.vertex_count == 10
-        assert len(graph2.edges) == 13
-        assert (0, 1) not in graph2.edges
-        assert (0, 9) in graph2.edges and (1, 9) in graph2.edges
-        assert layout2.roles[9] == ROLE_SUBDIVISION
-        assert layout2.hosts[9] == (0, 1)
-
-    def test_center_edge_two_points_stay_non_inner(self):
-        # Subdivision vertices are never part of the inner set even
-        # when the host edge touches an inner vertex.
-        graph, layout = make_grid(3, 3)
-        graph2, layout2 = subdivide_edges(graph, layout, {(4, 5): 2})
-        assert graph2.vertex_count == 11
-        assert len(graph2.edges) == 14
-        assert inner_vertices(layout2) == inner_vertices(layout) == frozenset({4})
-
-    def test_chain_order_follows_ids(self):
-        graph, layout = make_grid(3, 3)
-        graph2, _ = subdivide_edges(graph, layout, {(4, 5): 2})
-        assert (4, 9) in graph2.edges
-        assert (9, 10) in graph2.edges
-        assert (5, 10) in graph2.edges
-
-    def test_unknown_edge_rejected(self):
-        graph, layout = make_grid(3, 3)
-        with pytest.raises(ValueError):
-            subdivide_edges(graph, layout, {(0, 8): 1})
-
-    def test_negative_count_rejected(self):
-        graph, layout = make_grid(3, 3)
-        with pytest.raises(ValueError):
-            subdivide_edges(graph, layout, {(0, 1): -1})
-
-    def test_zero_count_is_noop_for_that_edge(self):
-        graph, layout = make_grid(3, 3)
-        graph2, _ = subdivide_edges(graph, layout, {(0, 1): 0})
-        assert graph2 == graph
-
-    def test_preserves_planarity_certificate(self):
-        graph, layout = make_grid(4, 4)
-        graph2, layout2 = subdivide_edges(graph, layout, {(0, 1): 2, (5, 6): 1})
-        assert is_planar_certificate(graph2, layout2)
 
 
 class TestValidatePath:

@@ -78,6 +78,13 @@ class TestInstanceRoundTrip:
             parse_instance(json.dumps(doc))
 
 
+def k1_layout(edit):
+    """The layout block of build_instance(1) after edit(block)."""
+    block = json.loads(serialize_instance(build_instance(1)))["layout"]
+    edit(block)
+    return block
+
+
 class TestMalformedInstanceDocuments:
     def base_doc(self):
         return json.loads(serialize_instance(build_instance(1)))
@@ -94,12 +101,34 @@ class TestMalformedInstanceDocuments:
         {"rows": 3, "cols": 3, "cells": [], "roles": {}, "hosts": {}},
         {"rows": 3, "cols": 3, "cells": {"0": 5}, "roles": {}, "hosts": {}},
         [3, 3],
+        # A vertex on a host edge, which layouts do not support.
+        k1_layout(lambda block: block["hosts"].update({"9": [0, 1]})),
+        k1_layout(lambda block: block.update(cells={})),
+        k1_layout(lambda block: block["cells"].update({"1": [1, 1]})),
+        k1_layout(lambda block: block["cells"].update({"0": [0, 1]})),
+        # Terminal 8 sits on a border cell, so its role is grid-border.
+        k1_layout(lambda block: block["roles"].update({"8": "arc-exterior"})),
     ])
-    def test_malformed_layout(self, layout):
+    def test_malformed_layout(self, layout, tmp_path, capsys):
         doc = self.base_doc()
         doc["layout"] = layout
         with pytest.raises(ValueError):
             parse_instance(json.dumps(doc))
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_render_of_a_layout_that_places_no_vertex(self, tmp_path, capsys):
+        # The renderer reads every vertex's cell: this must stop before it.
+        doc = self.base_doc()
+        doc["layout"]["cells"] = {}
+        path = tmp_path / "no_cells.json"
+        path.write_text(json.dumps(doc))
+        fig = tmp_path / "fig.svg"
+        assert main(["render", str(path), "--out", str(fig)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not fig.exists()
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(edges=[[0, None]]),

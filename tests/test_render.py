@@ -1,16 +1,18 @@
 """SVG and DOT output: deterministic text, structure reflects the instance."""
 
+import hashlib
+
 import pytest
 
 from gridlinkage import (
     Instance,
     build_instance,
-    make_grid,
     render_dot,
     render_svg,
+    serialize_instance,
     solve,
 )
-from gridlinkage.construction import S0_BOTTOM_LEFT
+from gridlinkage.construction import S0_BOTTOM_LEFT, S0_TOP_RIGHT
 
 
 @pytest.fixture(scope="module")
@@ -90,14 +92,21 @@ class TestDot:
             render_dot(inst)
 
 
-def test_subdivided_instance_renders():
-    """Subdivision vertices sit between their host endpoints."""
-    from gridlinkage import subdivide_edges
+# sha256[:16] of the instance document, and of its SVG and DOT with
+# decide's first solution overlaid: everything the layout feeds.
+BYTE_PINS = {
+    (1, S0_BOTTOM_LEFT): ("966c645f140bc74a", "d73d2447c08c80f1", "c8fb17f09b1049ad"),
+    (1, S0_TOP_RIGHT): ("f6d2bef19c9fc8f8", "db9ac607fe294634", "e942e60b62923b0f"),
+    (2, S0_BOTTOM_LEFT): ("7ac84d7895bccfbe", "63185e5486e9fa8f", "b412b283fd438f42"),
+    (2, S0_TOP_RIGHT): ("5e13c8280636df0b", "796cef88de263abe", "0f1658e56e0b29c1"),
+    (3, S0_BOTTOM_LEFT): ("e51cdd1604d8e022", "f5bc5353f06278c2", "8de82388901b9772"),
+    (3, S0_TOP_RIGHT): ("4e8a5e79f7abe068", "a4fb76e60731268b", "6915bb2b414de00a"),
+}
 
-    graph, layout = make_grid(3, 3)
-    graph2, layout2 = subdivide_edges(graph, layout, {(0, 1): 2})
-    inst = Instance.make(graph2, [(0, 2)], layout2)
-    svg = render_svg(inst)
-    assert svg.count("<circle") == 11
-    dot = render_dot(inst)
-    assert 'role="subdivision"' in dot
+
+@pytest.mark.parametrize("k, corner", sorted(BYTE_PINS))
+def test_output_bytes_are_pinned(k, corner):
+    inst = build_instance(k, s0_placement=corner)
+    sol = solve(inst, mode="decide").solutions[0]
+    texts = (serialize_instance(inst), render_svg(inst, sol), render_dot(inst, sol))
+    assert tuple(hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts) == BYTE_PINS[k, corner]
