@@ -1,23 +1,13 @@
 """Vertex sets as Python ints: bit v set means vertex v is in the set.
 
-The solver and the width searches both work on these bitsets; this
-module holds the few helpers they use.
+The solver and the width searches both work on these bitsets, starting
+from a graph's neighbor sets (Graph.masks); this module holds the few
+helpers they use.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
-
-from .graphs import Graph
-
-
-def adjacency_masks(graph: Graph) -> list[int]:
-    """Neighbor set of every vertex, indexed by vertex id."""
-    masks = [0] * graph.vertex_count
-    for u, v in graph.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def iter_bits(mask: int) -> Iterator[int]:

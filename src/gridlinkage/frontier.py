@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .bitsets import iter_bits
-from .graphs import Edge, Graph, is_planar_certificate
+from .graphs import Edge, is_planar_certificate
 from .solver import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_BUDGET,
@@ -193,25 +193,6 @@ def _order(instance: Instance) -> list[int]:
     return order
 
 
-def _planar_cells(instance: Instance) -> tuple[dict[int, tuple[int, int]], set[Edge]] | None:
-    """The layout's cells and the edges that are not unit lattice edges,
-    when the layout draws the graph without crossings (those edges as
-    nested arcs outside the border, as graphs.is_planar_certificate
-    checks); otherwise None.  Instance has put every vertex on a cell
-    of its own."""
-    layout = instance.layout
-    cells = layout.cells
-    arcs = set()
-    for u, w in instance.graph.edges:
-        (r, c), (q, d) = cells[u], cells[w]
-        if abs(r - q) + abs(c - d) != 1:
-            arcs.add((u, w))
-    # Lattice edges always pass the certificate, so it need only see the arcs.
-    if not is_planar_certificate(Graph(instance.graph.vertex_count, frozenset(arcs)), layout):
-        return None
-    return cells, arcs
-
-
 def _schedule(
     instance: Instance, require_spanning: bool, blocked: int
 ) -> tuple[list[_Step], int] | None:
@@ -225,9 +206,10 @@ def _schedule(
     On a layout of at least PRUNE_MIN_ROWS rows each step also carries
     its prunes (see the module docstring): under require_spanning the
     non-terminals the step leaves with one undecided edge, and, where
-    the layout draws the graph without crossings, the frontier has at
-    most one vertex per row and every undecided edge at it is a unit
-    lattice edge, the frontier in row order for the non-crossing test.
+    is_planar_certificate passes, the frontier has at most one vertex
+    per row and every undecided edge at it is a lattice edge (as
+    GridLayout.arc_side draws it), the frontier in row order for the
+    non-crossing test.
     """
     graph = instance.graph
     n = graph.vertex_count
@@ -254,23 +236,24 @@ def _schedule(
     width = 0
     steps: list[_Step] = []
     # The count without a layout stays the reference: no prune there.
-    pruned = instance.layout is not None and instance.layout.rows >= PRUNE_MIN_ROWS
+    layout = instance.layout
+    pruned = layout is not None and layout.rows >= PRUNE_MIN_ROWS
     remaining = [len(adjacency[v]) for v in range(n)] if pruned and require_spanning else []
     wild = None
-    planar = _planar_cells(instance) if pruned else None
-    if planar is not None:
+    planar = pruned and is_planar_certificate(graph, layout)
+    if planar:
         # arcs[v] counts v's undecided edges that are not unit lattice
         # edges, arced the frontier vertices with one, crowded the rows
         # with more than one frontier vertex.
-        cells, arc_edges = planar
+        arc_edges = {e for e in graph.edges if layout.arc_side(*e) is not None}
         arcs = [0] * n
         for u, w in arc_edges:
             if not (blocked >> u | blocked >> w) & 1:
                 arcs[u] += 1
                 arcs[w] += 1
         arced = crowded = 0
-        row_of = [cells[v][0] for v in range(n)]
-        by_row: list[list[int]] = [[] for _ in range(instance.layout.rows + 1)]
+        row_of = [layout.cells[v][0] for v in range(n)]
+        by_row: list[list[int]] = [[] for _ in range(layout.rows + 1)]
         slot_label: list[tuple[int, int]] = [(0, 0)] * n
         to_come: dict[int, int] = {}
         for v in range(n):
@@ -294,7 +277,7 @@ def _schedule(
         else:
             slot[v] = width
             width += 1
-        if planar is not None:
+        if planar:
             slot_label[v] = (slot[v], label[v])
             row = by_row[row_of[v]]
             row.append(v)
@@ -321,7 +304,7 @@ def _schedule(
                     remaining[v] -= 1
                     thin = tuple(slot[w] for w in (u, v) if remaining[w] == 1 and not label[w])
                 rows = None
-                if planar is not None:
+                if planar:
                     if edge in arc_edges:
                         arcs[u] -= 1
                         arcs[v] -= 1

@@ -2,9 +2,11 @@
 
 The graph type is a frozen value object: a vertex count plus a set of
 undirected edges over dense integer ids.  Grids carry a separate layout
-that puts every vertex on a lattice cell of its own; a vertex's role is
-read off its cell.  Everything downstream (solver, width checks,
-rendering) works against these two types.
+that puts every vertex on a lattice cell of its own, checked when it is
+built; a vertex's role is read off its cell, and how an edge is drawn,
+lattice segment or border arc, off its two cells (GridLayout.arc_side).
+Everything downstream (solver, width checks, rendering) works against
+these two types.
 
 Roles:
     grid-border   vertex on a cell of the outer boundary
@@ -69,14 +71,17 @@ class Graph:
         return tuple(tuple(sorted(ns)) for ns in nbrs)
 
     @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Neighbor sets as bitsets (bit w set when w is a neighbor), by vertex id."""
+        masks = [0] * self.vertex_count
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
+    @cached_property
     def label_map(self) -> dict[int, str]:
         return dict(self.labels)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -88,14 +93,41 @@ class GridLayout:
 
     rows/cols count lattice rows and columns; row 1 is the bottom row,
     column 1 the leftmost column.  cell_of puts every vertex on a cell
-    of its own inside the lattice (solver.Instance checks this against
-    its graph).  A vertex's role follows from its cell: grid-inner when
-    1 < r < rows and 1 < c < cols, grid-border otherwise.
+    of its own inside the lattice, which __post_init__ checks
+    (solver.Instance checks that the cells cover its graph).  A vertex's
+    role follows from its cell: grid-inner when 1 < r < rows and
+    1 < c < cols, grid-border otherwise.
     """
 
     rows: int
     cols: int
     cell_of: tuple[tuple[int, tuple[int, int]], ...]
+
+    def __post_init__(self) -> None:
+        if len({cell for _, cell in self.cell_of}) != len(self.cell_of):
+            raise ValueError("two vertices share a layout cell")
+        for v, (r, c) in self.cell_of:
+            if not (1 <= r <= self.rows and 1 <= c <= self.cols):
+                raise ValueError(f"vertex {v} sits at ({r}, {c}), outside the "
+                                 f"{self.rows} x {self.cols} lattice")
+
+    def arc_side(self, u: int, v: int) -> str | None:
+        """None when u and v sit on lattice neighbours; else the border
+        side both cells lie on, the first of "left", "right", "bottom",
+        "top", outside which their edge is drawn as an arc, or "" when
+        the cells share no border side."""
+        (r, c), (q, d) = self.cells[u], self.cells[v]
+        if abs(r - q) + abs(c - d) == 1:
+            return None
+        if c == d == 1:
+            return "left"
+        if c == d == self.cols:
+            return "right"
+        if r == q == 1:
+            return "bottom"
+        if r == q == self.rows:
+            return "top"
+        return ""
 
     @cached_property
     def cells(self) -> dict[int, tuple[int, int]]:
@@ -209,53 +241,29 @@ def crossing_report(paths: Iterable[tuple[int, ...]], layout: GridLayout) -> Cro
     return CrossingReport(tuple(per_path), total, frozenset(undefined))
 
 
-_SIDES = ("left", "right", "bottom", "top")
-
-
-def _sides_of(cell: tuple[int, int], rows: int, cols: int) -> set[str]:
-    r, c = cell
-    sides = set()
-    if c == 1:
-        sides.add("left")
-    if c == cols:
-        sides.add("right")
-    if r == 1:
-        sides.add("bottom")
-    if r == rows:
-        sides.add("top")
-    return sides
-
-
-def _side_position(cell: tuple[int, int], side: str) -> int:
-    return cell[0] if side in ("left", "right") else cell[1]
-
-
 def is_planar_certificate(graph: Graph, layout: GridLayout) -> bool:
     """Certify that the layout induces a crossing-free drawing.
 
     Every vertex must have a cell, and every edge that does not join
-    lattice-adjacent cells must be drawable as an arc outside one border
-    side, with no two arcs around the same side interleaving.  False
-    means not certified, not a proof of non-planarity.
+    lattice neighbours must have a border side (GridLayout.arc_side),
+    with no two arcs around the same side interleaving.  False means
+    not certified, not a proof of non-planarity.
     """
     cells = layout.cells
     if any(v not in cells for v in range(graph.vertex_count)):
         return False
 
-    side_arcs: dict[str, list[tuple[int, int]]] = {side: [] for side in _SIDES}
-    for u, v in graph.sorted_edges():
-        u_cell, v_cell = cells[u], cells[v]
-        if abs(u_cell[0] - v_cell[0]) + abs(u_cell[1] - v_cell[1]) == 1:
+    side_arcs: dict[str, list[tuple[int, int]]] = {}
+    for u, v in graph.edges:
+        side = layout.arc_side(u, v)
+        if side is None:
             continue  # lattice edge
-        common = _sides_of(u_cell, layout.rows, layout.cols) & _sides_of(
-            v_cell, layout.rows, layout.cols
-        )
-        if not common:
+        if not side:
             return False
-        for side in common:
-            a = _side_position(u_cell, side)
-            b = _side_position(v_cell, side)
-            side_arcs[side].append((min(a, b), max(a, b)))
+        # An arc's ends along its side: rows on left/right, columns on bottom/top.
+        axis = 0 if side in ("left", "right") else 1
+        a, b = cells[u][axis], cells[v][axis]
+        side_arcs.setdefault(side, []).append((min(a, b), max(a, b)))
 
     for arcs in side_arcs.values():
         arcs.sort()

@@ -1,15 +1,17 @@
 """Static SVG and DOT figures for grid instances.
 
 Pure string builders over sorted structures: the same instance and
-solution always produce the same bytes.  Lattice edges draw as straight
-segments, border arcs bow outward with a bulge that grows with their
-span so nested arcs stay separated, and solution paths overlay the
+solution always produce the same bytes.  The layout decides how each
+edge is drawn (GridLayout.arc_side): border arcs bow outward around
+their side with a bulge that grows with their span, so nested arcs stay
+separated; every other edge, a lattice edge or one whose cells share no
+border side, draws as a straight segment.  Solution paths overlay the
 structure in distinct strokes, one per terminal pair.
 """
 
 from __future__ import annotations
 
-from .graphs import normalize_edge
+from .graphs import GridLayout, normalize_edge
 from .solver import Instance, Linkage
 
 CELL = 48.0
@@ -27,26 +29,8 @@ def _positions(instance: Instance) -> dict[int, tuple[float, float]]:
     return {v: ((c - 1) * CELL, (layout.rows - r) * CELL) for v, (r, c) in layout.cell_of}
 
 
-def _arc_side(instance: Instance, u: int, v: int) -> str | None:
-    # A non-lattice edge between two cells of one border row or column.
-    layout = instance.layout
-    cells = layout.cells
-    (r1, c1), (r2, c2) = cells[u], cells[v]
-    if abs(r1 - r2) + abs(c1 - c2) <= 1:
-        return None
-    if c1 == c2 == 1:
-        return "left"
-    if c1 == c2 == layout.cols:
-        return "right"
-    if r1 == r2 == 1:
-        return "bottom"
-    if r1 == r2 == layout.rows:
-        return "top"
-    return None
-
-
 def _edge_d(
-    instance: Instance,
+    layout: GridLayout,
     pos: dict[int, tuple[float, float]],
     u: int,
     v: int,
@@ -54,8 +38,8 @@ def _edge_d(
     """SVG path data from u to v, bowed outward for border arcs."""
     x1, y1 = pos[u]
     x2, y2 = pos[v]
-    side = _arc_side(instance, u, v)
-    if side is None:
+    side = layout.arc_side(u, v)
+    if not side:
         return f"M {x1:.1f} {y1:.1f} L {x2:.1f} {y2:.1f}"
     span = (abs(x1 - x2) + abs(y1 - y2)) / CELL
     bulge = CELL * 0.3 + CELL * 0.22 * span
@@ -81,7 +65,7 @@ def render_svg(instance: Instance, solution: Linkage | None = None) -> str:
         [
             (abs(pos[u][0] - pos[v][0]) + abs(pos[u][1] - pos[v][1])) / CELL
             for u, v in graph.sorted_edges()
-            if _arc_side(instance, u, v) is not None
+            if layout.arc_side(u, v)
         ]
         or [0.0],
     ) + CELL * 0.45
@@ -97,7 +81,7 @@ def render_svg(instance: Instance, solution: Linkage | None = None) -> str:
         '<g stroke="#999" stroke-width="1.6" fill="none">',
     ]
     for u, v in graph.sorted_edges():
-        parts.append(f'<path d="{_edge_d(instance, pos, u, v)}"/>')
+        parts.append(f'<path d="{_edge_d(layout, pos, u, v)}"/>')
     parts.append("</g>")
 
     if solution is not None:
@@ -106,7 +90,7 @@ def render_svg(instance: Instance, solution: Linkage | None = None) -> str:
         for i, path in enumerate(solution.paths):
             color = PALETTE[i % len(PALETTE)]
             pieces = [
-                _edge_d(instance, pos, a, b) for a, b in zip(path, path[1:])
+                _edge_d(layout, pos, a, b) for a, b in zip(path, path[1:])
             ]
             parts.append(f'<path stroke="{color}" d="{" ".join(pieces)}"/>')
         parts.append("</g>")
@@ -170,7 +154,7 @@ def render_dot(instance: Instance, solution: Linkage | None = None) -> str:
         lines.append(f"  {v} [{', '.join(attrs)}];")
     for u, v in graph.sorted_edges():
         attrs = []
-        kind = "arc" if _arc_side(instance, u, v) is not None else "lattice"
+        kind = "arc" if layout.arc_side(u, v) else "lattice"
         attrs.append(f'kind="{kind}"')
         if (u, v) in edge_path:
             i = edge_path[(u, v)]

@@ -57,7 +57,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .bitsets import adjacency_masks, components, iter_bits, split_components
+from .bitsets import components, iter_bits, split_components
 from .graphs import Graph, GridLayout, validate_path
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -83,9 +83,9 @@ class SearchAborted(RuntimeError):
 class Instance:
     """A disjoint-paths problem: host graph and ordered terminal pairs.
 
-    A grid layout, when given, must put each vertex on a cell of its own
-    inside the lattice and every terminal on a border cell.  This is the
-    one place that checks the layout; its consumers rely on it.
+    A grid layout, when given, must place each vertex of the graph
+    exactly once and every terminal on a border cell; GridLayout itself
+    keeps the cells distinct and inside the lattice.
     """
 
     graph: Graph
@@ -104,16 +104,9 @@ class Instance:
                 seen.add(v)
         layout = self.layout
         if layout is not None:
-            cells = layout.cells
             n = self.graph.vertex_count
-            if len(layout.cell_of) != n or cells.keys() != set(range(n)):
+            if len(layout.cell_of) != n or layout.cells.keys() != set(range(n)):
                 raise ValueError("the layout must place each vertex exactly once")
-            if len(set(cells.values())) != n:
-                raise ValueError("two vertices share a layout cell")
-            for v, (r, c) in layout.cell_of:
-                if not (1 <= r <= layout.rows and 1 <= c <= layout.cols):
-                    raise ValueError(f"vertex {v} sits at ({r}, {c}), outside the "
-                                     f"{layout.rows} x {layout.cols} lattice")
             for v in seen:
                 if layout.is_inner(v):
                     raise ValueError(f"terminal {v} must sit on the grid border")
@@ -439,7 +432,7 @@ def solve(
     # full is the graph's adjacency; adj, which the search moves and
     # prunes on, keeps only the edges some linkage uses when a frontier
     # count on the grid layout finishes inside the budgets.
-    adj = full = adjacency_masks(graph)
+    adj = full = graph.masks
     if instance.layout is not None:
         from .frontier import count_linkages  # frontier imports this module
 
@@ -448,7 +441,7 @@ def solve(
                                  blocked=iter_bits(blocked_mask))
         nodes = counted.nodes
         if counted.status != STATUS_ABORTED:
-            adj = adjacency_masks(Graph(n, counted.used_by_some))
+            adj = Graph(n, counted.used_by_some).masks
     all_mask = (1 << n) - 1 if n else 0
     free0 = all_mask & ~terminal_mask & ~blocked_mask
     if pair_order == PAIR_ORDER_AUTO:

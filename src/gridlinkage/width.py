@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .bitsets import adjacency_masks, components, iter_bits
+from .bitsets import components, iter_bits
 from .graphs import Graph
 
 DEFAULT_WIDTH_NODE_BUDGET = 20_000_000
@@ -102,7 +102,7 @@ def width_of_elimination_order(graph: Graph, order: Iterable[int]) -> int:
         raise ValueError("order must be a permutation of all vertices")
     if n == 0:
         return -1
-    adj = adjacency_masks(graph)
+    adj = graph.masks
     remaining = (1 << n) - 1
     worst = 0
     for v in seq:
@@ -124,7 +124,7 @@ def width_of_layout(graph: Graph, order: Iterable[int]) -> int:
         raise ValueError("order must be a permutation of all vertices")
     if n == 0:
         return -1
-    adj = adjacency_masks(graph)
+    adj = graph.masks
     placed = 0
     worst = 0
     for v in seq:
@@ -153,7 +153,7 @@ def _eliminate(nbrs: list[int], v: int) -> list[int]:
     # is the closure view, since the residual graph depends only on the
     # set removed.  Returns a new list; v's own entry goes stale and is
     # never read again.
-    out = nbrs[:]
+    out = list(nbrs)
     nv = nbrs[v]
     keep = ~(1 << v)
     m = nv
@@ -397,7 +397,7 @@ def _deepen(
     n = graph.vertex_count
     if n == 0:
         raise ValueError("width of the empty graph is not defined here")
-    adj = adjacency_masks(graph)
+    adj = graph.masks
     budget = _Budget(max_nodes, max_seconds)
 
     comps = components(adj, (1 << n) - 1)

@@ -3,12 +3,12 @@
 import random
 
 from gridlinkage import Graph
-from gridlinkage.bitsets import adjacency_masks, components, split_components
+from gridlinkage.bitsets import components, split_components
 from oracles import connected_graphs
 
 
 def _check_every_removal(graph: Graph) -> None:
-    adj = adjacency_masks(graph)
+    adj = graph.masks
     whole = (1 << graph.vertex_count) - 1
     for v in range(graph.vertex_count):
         within = whole ^ (1 << v)

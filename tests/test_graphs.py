@@ -6,6 +6,7 @@ import pytest
 
 from gridlinkage import (
     Graph,
+    GridLayout,
     ROLE_BORDER,
     ROLE_INNER,
     crossing_count,
@@ -227,6 +228,38 @@ class TestPlanarCertificate:
         edges.add((left[1], left[3]))
         crossed = Graph.from_edges(graph.vertex_count, edges)
         assert not is_planar_certificate(crossed, layout)
+
+    def test_shared_cell_is_refused(self):
+        # An edge between two vertices on one cell has lattice distance
+        # 0; the layout refuses the shared cell before any check sees it.
+        with pytest.raises(ValueError, match="share a layout cell"):
+            is_planar_certificate(
+                Graph.from_edges(2, [(0, 1)]),
+                GridLayout(1, 1, ((0, (1, 1)), (1, (1, 1)))),
+            )
+
+
+class TestGridLayout:
+    def test_cell_outside_the_lattice_is_refused(self):
+        with pytest.raises(ValueError, match=r"vertex 1 sits at \(1, 3\), outside the 2 x 2"):
+            GridLayout(2, 2, ((0, (1, 1)), (1, (1, 3))))
+
+    # On the 3x3 grid: ids 0, 2, 6, 8 are the corners (bottom-left,
+    # bottom-right, top-left, top-right) and 4 is the centre.
+    @pytest.mark.parametrize("u, v, side", [
+        (0, 1, None),
+        (4, 7, None),
+        (0, 2, "bottom"),
+        (0, 6, "left"),
+        (2, 8, "right"),
+        (6, 8, "top"),
+        (0, 4, ""),
+        (0, 8, ""),
+    ])
+    def test_arc_side(self, u, v, side):
+        _, layout = make_grid(3, 3)
+        assert layout.arc_side(u, v) == side
+        assert layout.arc_side(v, u) == side
 
 
 def test_path_enumerator_is_complete():

@@ -5,8 +5,10 @@ import hashlib
 import pytest
 
 from gridlinkage import (
+    Graph,
     Instance,
     build_instance,
+    make_grid,
     render_dot,
     render_svg,
     serialize_instance,
@@ -110,3 +112,24 @@ def test_output_bytes_are_pinned(k, corner):
     sol = solve(inst, mode="decide").solutions[0]
     texts = (serialize_instance(inst), render_svg(inst, sol), render_dot(inst, sol))
     assert tuple(hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts) == BYTE_PINS[k, corner]
+
+
+# sha256[:12] of DOT + SVG for the 3x3 grid with one extra edge: an arc
+# around each side, and two edges whose cells share no border side,
+# which draw as straight segments of kind "lattice".
+EXTRA_EDGE_PINS = {
+    (0, 4): "ec8d509d2cf6",
+    (0, 2): "9858d17cb66b",
+    (0, 6): "c1463c9c9d80",
+    (2, 8): "3b8edfdb6273",
+    (6, 8): "e9fb78c4f4f3",
+    (0, 8): "1af54c814a9f",
+}
+
+
+@pytest.mark.parametrize("edge", sorted(EXTRA_EDGE_PINS))
+def test_extra_edge_drawing_is_pinned(edge):
+    graph, layout = make_grid(3, 3)
+    inst = Instance.make(Graph.from_edges(9, set(graph.edges) | {edge}), [], layout)
+    text = render_dot(inst) + render_svg(inst)
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == EXTRA_EDGE_PINS[edge]

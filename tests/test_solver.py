@@ -32,7 +32,6 @@ from gridlinkage import (
     spans_all_vertices,
 )
 from gridlinkage import solver as solver_module
-from gridlinkage.bitsets import adjacency_masks
 from gridlinkage.construction import S0_BOTTOM_LEFT
 from gridlinkage.solver import _check_closed
 
@@ -327,7 +326,7 @@ class TestCheckLinkage:
 def search_check(instance, paths, require_spanning=False):
     """Run solve()'s own linkage check in the order the search runs it:
     each path as its pair closes, the whole linkage at emission."""
-    adj = adjacency_masks(instance.graph)
+    adj = instance.graph.masks
     closed, used = [], 0
     for path in paths[:-1]:
         closed.append(path)
@@ -694,15 +693,17 @@ class TestSuffixMemo:
         monkeypatch.setattr(solver_module, "MEMO_MIN_NODES", 0)
         calls = []
 
+        built = Graph.masks.func
+
         def masks(graph):
-            adj = adjacency_masks(graph)
+            adj = list(built(graph))
             calls.append(graph)
             if len(calls) == 2:  # the DP's edges, after the full graph
                 adj[3] |= 1 << 7
                 adj[7] |= 1 << 3
             return adj
 
-        monkeypatch.setattr(solver_module, "adjacency_masks", masks)
+        monkeypatch.setattr(Graph, "masks", property(masks))
         graph, layout = make_grid(3, 3)
         with pytest.raises(ValueError, match=r"\(3, 7\) is not an edge"):
             solve(Instance.make(graph, [(0, 1)], layout), mode="enumerate_all")
@@ -763,7 +764,7 @@ class TestSuffixMemo:
 
         checked = 0
         for inst in [_raw_5x6()] + _border_grid_batch()[:4] + _sparse_batch():
-            adj = adjacency_masks(inst.graph)
+            adj = inst.graph.masks
             seen.clear()
             sys.setprofile(grab)
             try:

@@ -20,7 +20,7 @@ from gridlinkage import (
     width_of_elimination_order,
     width_of_layout,
 )
-from gridlinkage.bitsets import adjacency_masks, components, iter_bits
+from gridlinkage.bitsets import components, iter_bits
 from gridlinkage.construction import S0_BOTTOM_LEFT
 from gridlinkage import width as width_module
 from gridlinkage.width import (
@@ -283,7 +283,7 @@ class TestIncrementalMoves:
             for _ in range(rng.randint(0, 2 * n)):
                 a, b = sorted(rng.sample(range(n), 2))
                 edges.add((a, b))
-            adj = adjacency_masks(Graph.from_edges(n, edges))
+            adj = Graph.from_edges(n, edges).masks
             comp = (1 << n) - 1
             for limit in range(1, 7):
                 calls.clear()
@@ -310,7 +310,7 @@ class TestIncrementalElimination:
             g = Graph.from_edges(
                 n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
             )
-            adj = adjacency_masks(g)
+            adj = list(g.masks)
             remaining = (1 << n) - 1
             connected = len(components(adj, remaining)) == 1
             seen[connected] += 1
@@ -440,7 +440,7 @@ class NoMemo(set):
 def fresh_order(decide, graph, w):
     """The order a depth-first search at width w alone finds, without
     any memo."""
-    adj = adjacency_masks(graph)
+    adj = graph.masks
     comp = (1 << graph.vertex_count) - 1
     return tuple(decide(adj, comp, w, _Budget(10**7, 60.0), NoMemo()))
 
@@ -466,7 +466,7 @@ class TestCarriedMemo:
     @pytest.mark.parametrize("kind, seed", PATHWIDTH_GRAPHS)
     def test_pathwidth_far_below_the_greedy_bound(self, kind, seed):
         graph = tree_like(kind, seed)
-        adj = adjacency_masks(graph)
+        adj = graph.masks
         greedy, _ = _greedy_layout(adj, (1 << graph.vertex_count) - 1, float("inf"))
         result = pathwidth_exact(graph)
         assert result.exact
@@ -477,7 +477,7 @@ class TestCarriedMemo:
     @pytest.mark.parametrize("p, seed", TREEWIDTH_GRAPHS)
     def test_treewidth_far_below_the_greedy_bound(self, p, seed):
         graph = dense_random(p, seed)
-        adj = adjacency_masks(graph)
+        adj = graph.masks
         greedy, _ = _min_fill_order(adj, (1 << graph.vertex_count) - 1, float("inf"))
         result = treewidth_exact(graph)
         assert result.exact
@@ -524,7 +524,7 @@ class TestCarriedMemo:
         for _ in range(count):
             n = rng.randint(9, 12)
             graph = gnp(rng, n, rng.choice((0.3, 0.5)))
-            adj = adjacency_masks(graph)
+            adj = graph.masks
             whole = (1 << n) - 1
             if components(adj, whole) != [whole]:
                 continue
