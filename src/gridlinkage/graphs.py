@@ -92,7 +92,7 @@ class GridLayout:
     """Drawing data for a graph on an m x n lattice.
 
     rows/cols count lattice rows and columns; row 1 is the bottom row,
-    column 1 the leftmost column.  cell_of puts every vertex on a cell
+    column 1 the leftmost column.  cell_of puts every vertex on one cell
     of its own inside the lattice, which __post_init__ checks
     (solver.Instance checks that the cells cover its graph).  A vertex's
     role follows from its cell: grid-inner when 1 < r < rows and
@@ -106,6 +106,8 @@ class GridLayout:
     def __post_init__(self) -> None:
         if len({cell for _, cell in self.cell_of}) != len(self.cell_of):
             raise ValueError("two vertices share a layout cell")
+        if len(self.cells) != len(self.cell_of):
+            raise ValueError("a vertex sits on two layout cells")
         for v, (r, c) in self.cell_of:
             if not (1 <= r <= self.rows and 1 <= c <= self.cols):
                 raise ValueError(f"vertex {v} sits at ({r}, {c}), outside the "

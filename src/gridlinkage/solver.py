@@ -85,7 +85,7 @@ class Instance:
 
     A grid layout, when given, must place each vertex of the graph
     exactly once and every terminal on a border cell; GridLayout itself
-    keeps the cells distinct and inside the lattice.
+    keeps the cells distinct, one per vertex and inside the lattice.
     """
 
     graph: Graph
@@ -104,8 +104,7 @@ class Instance:
                 seen.add(v)
         layout = self.layout
         if layout is not None:
-            n = self.graph.vertex_count
-            if len(layout.cell_of) != n or layout.cells.keys() != set(range(n)):
+            if layout.cells.keys() != set(range(self.graph.vertex_count)):
                 raise ValueError("the layout must place each vertex exactly once")
             for v in seen:
                 if layout.is_inner(v):
@@ -980,31 +979,23 @@ def is_vital_linkage(
     max_nodes: int = DEFAULT_NODE_BUDGET,
     max_seconds: float = DEFAULT_TIME_BUDGET,
 ) -> bool:
-    """Decide whether a spanning linkage is the only spanning linkage
-    with its pairing: the only one whose components join the same
-    endpoint pairs.  This is the sense in which a unique spanning
-    solution is vital, and the one the width bounds rest on.
+    """Decide whether a linkage is vital in the sense of Robertson and
+    Seymour (Graph Minors XXI): it uses every vertex of graph, and no
+    other linkage, spanning or not, joins the same endpoint pairs.
 
-    Same-pairing spanning linkages are enumerated exhaustively by one
-    spanning solve, which max_nodes and max_seconds bound.  Raises
-    SearchAborted if it blows its budget, and ValueError if linkage is
-    not a spanning linkage of graph.
+    One solve counts the linkages with the input's endpoint pairs up to
+    a cap of 2, within max_nodes and max_seconds.  Raises SearchAborted
+    if it blows its budget, and ValueError if linkage is not a spanning
+    linkage of graph.
     """
-    check_linkage(
-        Instance(graph, tuple((p[0], p[-1]) for p in linkage.paths)),
-        linkage.paths,
-        require_spanning=True,
-    )
-    outcome = solve(
-        Instance(graph, tuple(sorted(pairing_of(linkage)))),
-        mode="enumerate_all",
-        require_spanning=True,
-        max_nodes=max_nodes,
-        max_seconds=max_seconds,
-    )
+    instance = Instance(graph, tuple((p[0], p[-1]) for p in linkage.paths))
+    check_linkage(instance, linkage.paths, require_spanning=True)
+    outcome = solve(instance, mode="count_up_to", cap=2,
+                    max_nodes=max_nodes, max_seconds=max_seconds)
     if outcome.status == STATUS_ABORTED:
-        raise SearchAborted("same-pairing enumeration exceeded budget")
-    keys = {other.canonical_key() for other in outcome.solutions}
-    if not keys:
-        raise AssertionError("input linkage not rediscovered by enumeration")
-    return keys == {linkage.canonical_key()}
+        raise SearchAborted("same-pattern count exceeded budget")
+    if len(outcome.solutions) == 2:
+        return False
+    if outcome.solutions != (linkage,):
+        raise AssertionError("input linkage not rediscovered by the count")
+    return True

@@ -146,7 +146,7 @@ def test_criterion_5_width_bound_and_vital_solution(k, run_long):
     sol = solve(inst, mode="count_up_to", cap=1, require_spanning=True).solutions[0]
     budget = 10_000_000_000 if run_long else 50_000_000
     vital = is_vital_linkage(inst.graph, sol, max_nodes=budget)
-    assert vital, f"k={k}: a rival spanning linkage shares the pairing"
+    assert vital, f"k={k}: another linkage shares the pattern"
     print(f"criterion 5: PASS k={k}: treewidth {tw.value} and pathwidth "
           f"{pw.value} >= {bound}; unique solution is vital")
 

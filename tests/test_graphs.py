@@ -238,6 +238,24 @@ class TestPlanarCertificate:
                 GridLayout(1, 1, ((0, (1, 1)), (1, (1, 1)))),
             )
 
+    def test_vertex_on_two_cells_is_refused(self):
+        with pytest.raises(ValueError, match="a vertex sits on two layout cells"):
+            is_planar_certificate(
+                Graph.from_edges(1, []),
+                GridLayout(1, 2, ((0, (1, 1)), (0, (1, 2)))),
+            )
+
+    def test_edge_with_no_border_side_fails(self):
+        graph, layout = make_grid(3, 3)
+        corner_to_centre = Graph.from_edges(9, set(graph.edges) | {(0, 4)})
+        assert not is_planar_certificate(corner_to_centre, layout)
+
+    def test_vertex_without_a_cell_fails(self):
+        graph, _ = make_grid(2, 2)
+        assert not is_planar_certificate(
+            graph, GridLayout(2, 2, ((0, (1, 1)), (1, (1, 2)), (2, (2, 1))))
+        )
+
 
 class TestGridLayout:
     def test_cell_outside_the_lattice_is_refused(self):

@@ -20,6 +20,7 @@ from gridlinkage import (
     STATUS_ABORTED,
     STATUS_SOLVABLE,
     STATUS_UNSOLVABLE,
+    SearchAborted,
     brute_force_oracle,
     build_instance,
     check_linkage,
@@ -301,6 +302,11 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             Instance.make(graph, [(4, 4)], layout)
 
+    def test_terminal_on_an_inner_cell(self, grid3):
+        graph, layout = grid3
+        with pytest.raises(ValueError, match="terminal 4 must sit on the grid border"):
+            Instance.make(graph, [(4, 0)], layout)
+
 
 class TestCheckLinkage:
     def test_accepts_valid(self, two_pair):
@@ -475,6 +481,30 @@ class TestVitalLinkage:
         rival = Linkage(((0, 3), (6, 7, 4, 1, 2, 8, 5)), inst.graph)
         assert spans_all_vertices(rival)
         assert pairing_of(rival) != pairing_of(sol)
+
+    def test_non_spanning_rival_counts(self):
+        # The edge (0, 2) links the same pair without vertex 1.
+        triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        assert not is_vital_linkage(triangle, Linkage(((0, 1, 2),), triangle))
+
+    def test_matches_the_reference(self):
+        # Vital means the only linkage of its own endpoint pairs, so the
+        # unpruned reference on those pairs must list it alone.
+        checked = 0
+        for inst in random_batch(5, 300, 9, 3):
+            for link in brute_force_oracle(inst, require_spanning=True).solutions:
+                own = Instance(inst.graph, tuple((p[0], p[-1]) for p in link.paths))
+                assert is_vital_linkage(inst.graph, link) == (
+                    brute_force_oracle(own).solutions == (link,)
+                ), link.paths
+                checked += 1
+        assert checked == 86
+
+    def test_exhausted_budget_raises(self):
+        inst = build_instance(2, s0_placement=S0_BOTTOM_LEFT)
+        sol = solve(inst, mode="count_up_to", cap=1, require_spanning=True).solutions[0]
+        with pytest.raises(SearchAborted):
+            is_vital_linkage(inst.graph, sol, max_nodes=10)
 
 
 class TestIrrelevantVertices:
