@@ -35,9 +35,11 @@ searches only the last.
 The entry order sets the frontier's width and so the number of states.
 With a grid layout vertices enter column by column, which keeps the
 frontier to one column plus one vertex; without one they enter
-greedily, each next vertex the one with the most neighbours already
-placed.  Budgets bound the run, and at a budget the answer is
-"aborted", never a guess.
+component by component in the greedy layout that bounds pathwidth
+(width._greedy_layout), whose vertex separation is the frontier's
+width.  That sweep reads the count's deadline; past it the best layout
+found so far stands, and the count stops at its first step.  Budgets
+bound the run, and at a budget the answer is "aborted", never a guess.
 
 On a layout of at least PRUNE_MIN_ROWS rows two prunes drop states
 that no completion reaches; the count without a layout, which runs
@@ -74,13 +76,12 @@ nodes and peak_states drop.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bitsets import iter_bits
+from .bitsets import components, iter_bits
 from .graphs import Edge, is_planar_certificate
 from .solver import (
     DEFAULT_NODE_BUDGET,
@@ -92,6 +93,7 @@ from .solver import (
     Linkage,
     check_blocked,
 )
+from .width import _greedy_layout
 
 # Live states allowed in a step's output; past it the count is aborted,
 # so memory stays bounded whatever the budgets say.  A state costs about
@@ -163,38 +165,21 @@ _Step = tuple[tuple[int, int], int, int, int, int, int, int, tuple[tuple[int, bo
               _Check | None, _Check | None]
 
 
-def _order(instance: Instance) -> list[int]:
+def _order(instance: Instance, deadline: float) -> list[int]:
     """Column-major (col, row) order of the layout's cells, which hold
-    every vertex.  Without a layout, a greedy order: next comes the
-    vertex with the most neighbours already placed, then the one with
-    the fewest neighbours, then the lowest number."""
+    every vertex.  Without a layout, each component's greedy pathwidth
+    layout (width._greedy_layout), which keeps the frontier narrow;
+    past the deadline that is the best layout found so far."""
     if instance.layout is not None:
         cells = instance.layout.cells
         return sorted(cells, key=lambda v: (cells[v][1], cells[v][0]))
-    n = instance.graph.vertex_count
-    adjacency = instance.graph.adjacency
-    placed_neighbours = [0] * n
-    placed = [False] * n
-    # Entries are (-placed neighbours, degree, vertex); an entry whose
-    # count has since grown is stale and skipped.
-    heap = [(0, len(adjacency[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        minus_placed, _, v = heapq.heappop(heap)
-        if placed[v] or -minus_placed != placed_neighbours[v]:
-            continue
-        placed[v] = True
-        order.append(v)
-        for w in adjacency[v]:
-            if not placed[w]:
-                placed_neighbours[w] += 1
-                heapq.heappush(heap, (-placed_neighbours[w], len(adjacency[w]), w))
-    return order
+    adj = instance.graph.masks
+    return [v for comp in components(adj, (1 << instance.graph.vertex_count) - 1)
+            for v in _greedy_layout(adj, comp, deadline)[1]]
 
 
 def _schedule(
-    instance: Instance, require_spanning: bool, blocked: int
+    instance: Instance, require_spanning: bool, blocked: int, deadline: float
 ) -> tuple[list[_Step], int] | None:
     """The edge steps of a run in order, and the number of slots.
 
@@ -213,7 +198,7 @@ def _schedule(
     """
     graph = instance.graph
     n = graph.vertex_count
-    order = _order(instance)
+    order = _order(instance, deadline)
     position = [0] * n
     for i, v in enumerate(order):
         position[v] = i
@@ -364,7 +349,7 @@ def count_linkages(
     ends it as STATUS_ABORTED.
     """
     deadline = time.monotonic() + max_seconds
-    plan = _schedule(instance, require_spanning, check_blocked(instance, blocked))
+    plan = _schedule(instance, require_spanning, check_blocked(instance, blocked), deadline)
     if plan is None:
         return LinkageCount(STATUS_UNSOLVABLE, 0, None, None, frozenset(), 0, 1)
     steps, width = plan

@@ -236,7 +236,9 @@ def _moves(
     # holds those last neighbours.  A boundary already at limit leaves
     # only moves into near: any other v keeps every boundary vertex and,
     # when each unplaced vertex has an unplaced neighbour (as after the
-    # decide search's absorption), adds itself.
+    # decide search's absorption), adds itself.  _greedy_layout passes
+    # the boundary's own size as limit for the moves into near, and
+    # scores the vertices without an unplaced neighbour itself.
     sole = 0
     near = 0
     m = boundary
@@ -267,12 +269,18 @@ def _greedy_layout(
     adj: list[int], comp: int, deadline: float
 ) -> tuple[int, list[int]]:
     # Pathwidth upper bound: greedy sweep from every start vertex,
-    # always placing next whatever keeps the boundary smallest.  The
-    # clock is read before each start and every 64 placements; past the
-    # deadline the sweep under way is dropped and the best complete
-    # layout so far stands, and the search that follows then stops at
-    # its first node.  limit is the component's size, which no boundary
-    # reaches, so _moves scores every unplaced vertex here.
+    # always placing next whatever keeps the boundary smallest, the
+    # lowest vertex among equals.  Only three kinds of move can win.  A
+    # move into near (see _moves) drops a boundary vertex, so it keeps
+    # the boundary within its size.  Any other move keeps the boundary
+    # and adds itself unless it has no unplaced neighbour (lonely), so
+    # of those only the lowest lonely vertex, or failing one the lowest
+    # unplaced vertex, can win; one that is also in near scores lower
+    # among the moves into near.  lonely gains the last move's
+    # neighbours that _still_open no longer finds open.  The clock is
+    # read before each start and every 64 placements; past the deadline
+    # the sweep under way is dropped and the best complete layout so far
+    # stands, and the search that follows then stops at its first node.
     nb = [a & comp for a in adj]
     best_order = sorted(iter_bits(comp))
     best_width = 0
@@ -288,13 +296,24 @@ def _greedy_layout(
         order = [start]
         rest = comp ^ (1 << start)
         boundary = _still_open(nb, 1 << start, rest)
+        lonely = nb[start] ^ _still_open(nb, nb[start], rest)
         width = boundary.bit_count()
         while rest and width < best_width:
             if not len(order) % 64 and time.monotonic() > deadline:
                 return best_width, best_order
-            size, v, boundary = min(_moves(nb, boundary, rest, comp.bit_count()))
+            size = boundary.bit_count()
+            moves = _moves(nb, boundary, rest, size)
+            if lonely:
+                v = (lonely & -lonely).bit_length() - 1
+                moves.append((size, v, boundary))
+            else:
+                v = (rest & -rest).bit_length() - 1
+                moves.append((size + 1, v, boundary | 1 << v))
+            size, v, boundary = min(moves)
             width = max(width, size)
             rest ^= 1 << v
+            fresh = nb[v] & rest
+            lonely = (lonely | fresh ^ _still_open(nb, fresh, rest)) & rest
             order.append(v)
         if not rest and width < best_width:
             best_width = width

@@ -105,8 +105,9 @@ class TestCounts:
             for spanning in (False, True):
                 for blocked in blockings(instance):
                     counts.add(assert_matches_enumeration(instance, spanning, blocked).count)
-            # Without a layout the vertices enter in a greedy order: the
-            # order sets the frontier, never the count.
+            # Without a layout the vertices enter in each component's
+            # greedy pathwidth layout: the order sets the frontier, never
+            # the count.
             assert_matches_enumeration(stripped(instance))
         assert {0, 1} < counts
 
@@ -150,8 +151,11 @@ class TestBudgets:
         assert result.nodes <= 2
 
     def test_deadline(self):
+        # Without a layout the greedy layout reads the same deadline, and
+        # the count stops at its first step.
         instance = build_instance(2, s0_placement=S0_BOTTOM_LEFT)
-        self.assert_aborted(count_linkages(instance, max_seconds=0), "seconds")
+        for each in (instance, stripped(instance)):
+            self.assert_aborted(count_linkages(each, max_seconds=0), "seconds")
 
     def test_state_cap_bounds_memory(self, monkeypatch):
         # A step at most doubles the live states, so a run never holds
@@ -215,7 +219,7 @@ class TestPrunes:
     no completion: every answer equals the count without them."""
 
     def test_every_candidate_at_k_up_to_3(self, monkeypatch):
-        plain_nodes = pruned_nodes = 0
+        plain_nodes = pruned_nodes = compared = 0
         for instance in candidates((1, 2, 3)):
             for spanning in (False, True):
                 plain, pruned = plain_and_pruned(monkeypatch, instance,
@@ -224,12 +228,17 @@ class TestPrunes:
                 assert pruned.peak_states <= plain.peak_states
                 plain_nodes += plain.nodes
                 pruned_nodes += pruned.nodes
-                if instance.construction_k() < 3:
-                    # The greedy order fills MAX_STATES on the k = 3 graphs.
-                    reference = count_linkages(stripped(instance), require_spanning=spanning)
+                # The greedy layout finishes every k <= 2 graph and the
+                # pow2-minus-1 graphs at k = 3 inside this budget; the
+                # pow2 graphs at k = 3 rest on the plain count alone.
+                reference = count_linkages(stripped(instance), max_nodes=150_000,
+                                           require_spanning=spanning)
+                if reference.status != STATUS_ABORTED:
+                    compared += 1
                     assert (pruned.count, pruned.used_by_all, pruned.used_by_some) == (
                         reference.count, reference.used_by_all, reference.used_by_some)
         assert (plain_nodes, pruned_nodes) == (1_031_057, 8_719)
+        assert compared == 24 + 6
 
     def test_blocked_vertices(self, monkeypatch):
         for instance in candidates():
@@ -248,16 +257,16 @@ class TestPrunes:
                 assert answer(pruned) == answer(plain)
                 plain_nodes += plain.nodes
                 pruned_nodes += pruned.nodes
-                # The layout-stripped count is the independent reference.
-                # Its greedy order needs more than this budget on a few
-                # rows, which then rest on the plain count alone.
+                # The layout-stripped count is the independent reference,
+                # and its greedy layout finishes every row inside this
+                # budget.
                 reference = count_linkages(stripped(instance), max_nodes=100_000,
                                            require_spanning=spanning)
                 if reference.status != STATUS_ABORTED:
                     compared += 1
                     assert (pruned.count, pruned.used_by_all, pruned.used_by_some) == (
                         reference.count, reference.used_by_all, reference.used_by_some)
-        assert compared >= 390
+        assert compared == 400
         assert (plain_nodes, pruned_nodes) == (478_464, 367_024)
 
     def test_motzkin_counts(self):

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -484,6 +485,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.count("aborted, skipping comparison") == 3
         assert "oracle agreement: 3/3 instances" in captured.out
+
+    def test_oracle_reports_a_mismatch(self, monkeypatch, capsys):
+        # A reference that lists every solution twice disagrees wherever
+        # the solver finds one: those instances are named on stderr, and
+        # the agreement line still closes the run.
+        real = cli_module.brute_force_oracle
+
+        def doubled(instance, require_spanning=False):
+            return types.SimpleNamespace(solutions=real(instance, require_spanning).solutions * 2)
+
+        monkeypatch.setattr(cli_module, "brute_force_oracle", doubled)
+        assert main(["oracle", "--count", "6", "--max-vertices", "8"]) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "instance 3: solver found 1, reference found 2",
+            "instance 4: solver found 67, reference found 134",
+            "instance 5: solver found 8, reference found 16",
+        ]
+        assert captured.out == "oracle agreement: 3/6 instances (seed 0)\n"
 
     @pytest.mark.parametrize("max_pairs", ["0", "-2"])
     def test_oracle_needs_one_pair(self, max_pairs, capsys):

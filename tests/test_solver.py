@@ -9,6 +9,7 @@ import gc
 import hashlib
 import random
 import sys
+import time
 import types
 
 import pytest
@@ -448,9 +449,9 @@ class TestPatternAndPairing:
 
 class TestVitalLinkage:
     def test_cycle_paths_vital(self):
-        # C4 split into two opposite edges: the only spanning linkage
-        # with this pairing.  Re-pairing the same endpoints as
-        # (0,3),(1,2) spans too, but that is another pairing.
+        # C4 split into two opposite edges: the only linkage, spanning
+        # or not, that joins 0 to 1 and 3 to 2.  Joining the same four
+        # endpoints as (0,3),(1,2) spans too, but it joins other pairs.
         c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         link = Linkage(((0, 1), (3, 2)), c4)
         assert is_vital_linkage(c4, link)
@@ -469,9 +470,9 @@ class TestVitalLinkage:
     def test_rival_with_another_pairing_does_not_count(self):
         """The generated 3x3 instance's unique solution is vital.
 
-        Re-pairing its four endpoints as (s0,s1) and (t0,t1) admits a
-        different spanning linkage, but only linkages with the same
-        pairing are rivals.
+        Joining its four endpoints as (s0,s1) and (t0,t1) admits a
+        different spanning linkage, but only a linkage that joins the
+        same endpoint pairs, spanning or not, is a rival.
         """
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
         out = solve(inst, mode="count_up_to", cap=2, require_spanning=True)
@@ -529,6 +530,24 @@ class TestIrrelevantVertices:
         rep = irrelevant_vertices(two_pair, max_seconds=0.0)
         assert rep.baseline_status == STATUS_SOLVABLE
         assert rep.indeterminate == frozenset({1, 3, 4, 5, 7})
+        assert rep.irrelevant == rep.relevant == frozenset()
+
+    def test_sweep_stops_at_the_deadline(self, monkeypatch):
+        # The baseline solve answers but returns only after the one
+        # deadline has passed, so the sweep classifies no vertex.
+        real = solver_module.solve
+
+        def slow_solve(*args, **kwargs):
+            outcome = real(*args, **kwargs)
+            time.sleep(0.06)
+            return outcome
+
+        monkeypatch.setattr(solver_module, "solve", slow_solve)
+        inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
+        rep = irrelevant_vertices(inst, max_seconds=0.05)
+        terminals = {v for pair in inst.pairs for v in pair}
+        assert rep.baseline_status == STATUS_SOLVABLE
+        assert rep.indeterminate == frozenset(range(inst.graph.vertex_count)) - terminals
         assert rep.irrelevant == rep.relevant == frozenset()
 
     def test_tiny_budget_reports_indeterminate(self, two_pair):

@@ -30,6 +30,7 @@ from gridlinkage.width import (
     _min_fill_order,
     _moves,
     _pw_decide,
+    _still_open,
     _tw_decide,
     _Budget,
 )
@@ -172,7 +173,8 @@ class TestBudgets:
 
     def test_pathwidth_greedy_bound_keeps_the_deadline(self):
         # 289 vertices: sweeping the greedy layout from every start
-        # vertex alone takes several seconds, longer than the budget.
+        # vertex takes about half a second, near the whole budget, and
+        # the search below its bound takes far longer.
         graph = build_instance(4).graph
         start = time.monotonic()
         result = pathwidth_exact(graph, max_seconds=0.5)
@@ -296,6 +298,54 @@ class TestIncrementalMoves:
                     assert out == self.recounted_moves(nb, placed, rest, w)
                     full[boundary.bit_count() == w] += 1
         assert full[True] > 1000 and full[False] > 1000
+
+
+def scored_greedy_layout(adj, comp):
+    """The greedy sweep scoring every unplaced vertex at each placement,
+    with no deadline: the smallest boundary wins, the lowest vertex
+    among equals."""
+    nb = [a & comp for a in adj]
+    best_order = sorted(iter_bits(comp))
+    best_width = 0
+    boundary = 0
+    rest = comp
+    for v in best_order:
+        rest ^= 1 << v
+        boundary = _still_open(nb, boundary | (1 << v), rest)
+        best_width = max(best_width, boundary.bit_count())
+    for start in iter_bits(comp):
+        order = [start]
+        rest = comp ^ (1 << start)
+        boundary = _still_open(nb, 1 << start, rest)
+        width = boundary.bit_count()
+        while rest and width < best_width:
+            size, v, boundary = min(_moves(nb, boundary, rest, comp.bit_count()))
+            width = max(width, size)
+            rest ^= 1 << v
+            order.append(v)
+        if not rest and width < best_width:
+            best_width = width
+            best_order = order
+    return best_width, best_order
+
+
+class TestGreedyLayout:
+    """_greedy_layout scores only the moves that can win, and returns the
+    width and order of the sweep that scores every unplaced vertex."""
+
+    def test_matches_the_sweep_that_scores_every_vertex(self):
+        rng = random.Random(22)
+        graphs = [build_instance(k).graph for k in (1, 2, 3)]
+        graphs += [gnp(rng, rng.randint(2, 30), rng.uniform(0.05, 0.5)) for _ in range(300)]
+        compared = disconnected = 0
+        for graph in graphs:
+            adj = graph.masks
+            comps = components(adj, (1 << graph.vertex_count) - 1)
+            disconnected += len(comps) > 1
+            for comp in comps:
+                assert _greedy_layout(adj, comp, float("inf")) == scored_greedy_layout(adj, comp)
+                compared += 1
+        assert (disconnected, compared) == (121, 670)
 
 
 class TestIncrementalElimination:
