@@ -6,18 +6,17 @@ terminals, producing a family whose intended solution is unique, covers
 every vertex, and crosses the grid interior a controlled number of
 times (path i crossing 2^(i-1) times, 3, 7, ... in total).
 
-linkage_checks() is the package's one uniqueness check: a single
-exact count of the linkages (frontier.count_linkages) decides
-uniqueness, and its witness linkage the spanning and crossing rows.
-verify_instance() adds the no-irrelevant-vertex row from the same
-count, which also finds the vertices that every linkage uses.  The
-exact arc count per terminal and the corner for s_0 are not forced by
-first principles, so both are kept as enumerable candidates and pinned
-by calibrate_arc_rule(), which runs linkage_checks() on the small
-instances and keeps the unique candidate passing them all.  The result
-of that calibration is frozen in CALIBRATED_ARC_RULE_ID and
-CALIBRATED_S0_PLACEMENT; the test suite re-derives it from scratch,
-for k <= 4.
+verify_instance() is the package's one check battery, read off a
+single exact count of the linkages (frontier.count_linkages): the count
+decides uniqueness, the one linkage of a count of 1 the spanning and
+crossing rows, and the vertices that every linkage uses the
+no-irrelevant-vertex row.  The exact arc count per terminal and the
+corner for s_0 are not forced by first principles, so both are kept as
+enumerable candidates and pinned by calibrate_arc_rule(), which runs
+verify_instance() on the small instances and keeps the unique candidate
+passing every row.  The result of that calibration is frozen in
+CALIBRATED_ARC_RULE_ID and CALIBRATED_S0_PLACEMENT, build_instance()'s
+defaults; the test suite re-derives it from scratch, for k <= 4.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .frontier import LinkageCount, count_linkages
+from .frontier import count_linkages
 from .graphs import (
     Graph,
     GridLayout,
@@ -77,7 +76,8 @@ def candidate_arc_rules() -> tuple[ArcRule, ...]:
 
 
 # Pinned by calibrate_arc_rule(4); regenerated and asserted by the test
-# suite, and used as defaults by the command line front end.
+# suite, and used as defaults by build_instance() and the command line
+# front end.
 CALIBRATED_ARC_RULE_ID = "pow2"
 CALIBRATED_S0_PLACEMENT = S0_BOTTOM_LEFT
 
@@ -96,15 +96,16 @@ def rule_by_identifier(identifier: str) -> ArcRule:
 def build_instance(
     k: int,
     rule: ArcRule | None = None,
-    s0_placement: str = S0_TOP_RIGHT,
+    s0_placement: str = CALIBRATED_S0_PLACEMENT,
 ) -> Instance:
     """Build the k-th grid instance: k+1 pairs, side length 2^k + 1.
 
     Left-border vertices are indexed bottom to top as n_0 .. n_{2^k};
     t_0 is the topmost one, pair i >= 2 sits at (n_{2^(k-i)},
     n_{3*2^(k-i)}), pair 1 runs to the middle of the right border, and
-    s_0 occupies the corner named by s0_placement.  rule=None uses the
-    calibrated arc rule.
+    s_0 occupies the corner named by s0_placement.  The defaults, the
+    calibrated arc rule (rule=None) and corner, give the instance that
+    `gridlinkage generate -k K` writes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -200,82 +201,58 @@ class CalibrationError(RuntimeError):
         self.reports = reports
 
 
-def _linkage_rows(
-    instance: Instance, max_nodes: int, max_seconds: float
-) -> tuple[list[tuple[str, str, str]], LinkageCount]:
-    """linkage_checks() rows, and the count they were read from."""
+def verify_instance(
+    instance: Instance,
+    max_nodes: int = DEFAULT_NODE_BUDGET,
+    max_seconds: float = DEFAULT_TIME_BUDGET,
+) -> list[tuple[str, str, str]]:
+    """(name, verdict, detail) rows for uniqueness, spanning, crossing
+    profile, crossing total and no irrelevant vertices, all read off one
+    exact count (frontier.count_linkages).
+
+    The spanning and crossing rows inspect the linkage, so they pass only
+    when the count is 1.  A non-terminal v is irrelevant when deleting it
+    leaves solvability as it was.  The count decides that without
+    deleting anything: at count 0 every non-terminal is irrelevant, and
+    otherwise exactly the non-terminals that some linkage avoids are (a
+    linkage of G - v is a linkage of G that avoids v).  verdict is PASS,
+    FAIL or INDETERMINATE (the count ran out of nodes, states or time;
+    max_nodes bounds the states it expands).  Raises ValueError when the
+    instance has no meta k or no grid layout.
+    """
     k = instance.construction_k()
     if k is None:
         raise ValueError("instance has no construction parameter k to verify against")
     if instance.layout is None:
         raise ValueError("instance has no grid layout to count crossings against")
     result = count_linkages(instance, max_nodes=max_nodes, max_seconds=max_seconds)
+    linkage_rows = ("spanning", "crossing profile", "crossing total")
     if result.status == STATUS_ABORTED:
         return [("uniqueness", "INDETERMINATE",
                  f"count exhausted its {result.limit} budget ({result.nodes} nodes, "
                  f"peak {result.peak_states} states)")] + [
-            (name, "INDETERMINATE", "no verified solution")
-            for name in ("spanning", "crossing profile", "crossing total")
-        ], result
+            (name, "INDETERMINATE", "no verified solution") for name in linkage_rows
+        ] + [("no irrelevant vertices", "INDETERMINATE", "no exact count")]
     checks = [("uniqueness", "PASS" if result.count == 1 else "FAIL",
                f"linkages: {result.count} (exact count)")]
-    if result.witness is None:
-        return checks + [
-            (name, "FAIL", "no solution")
-            for name in ("spanning", "crossing profile", "crossing total")
-        ], result
     link = result.witness
-    # Instance rejects inner terminals under a layout, so every path's
-    # crossing count is defined.
-    report = crossing_report(link.paths, instance.layout)
-    want_profile = expected_crossing_profile(k)
-    want_total = 2**k - 1
-    return checks + [
-        ("spanning", "PASS" if spans_all_vertices(link) else "FAIL",
-         f"covers {len(link.vertices())}/{instance.graph.vertex_count} vertices"),
-        ("crossing profile", "PASS" if report.per_path == want_profile else "FAIL",
-         f"got {list(report.per_path)}, want {list(want_profile)}"),
-        ("crossing total", "PASS" if report.total == want_total else "FAIL",
-         f"got {report.total}, want {want_total}"),
-    ], result
-
-
-def linkage_checks(
-    instance: Instance,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
-    max_seconds: float = DEFAULT_TIME_BUDGET,
-) -> list[tuple[str, str, str]]:
-    """(name, verdict, detail) rows for uniqueness, spanning, crossing
-    profile and crossing total, all decided from one exact count.
-
-    The count is frontier.count_linkages(); its witness is the linkage
-    the spanning and crossing rows inspect, the only one when the count
-    is 1.  verdict is PASS, FAIL or INDETERMINATE (the count ran out of
-    nodes, states or time; max_nodes bounds the states it expands).
-    Raises ValueError when the instance has no meta k or no grid layout.
-    """
-    return _linkage_rows(instance, max_nodes, max_seconds)[0]
-
-
-def verify_instance(
-    instance: Instance,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
-    max_seconds: float = DEFAULT_TIME_BUDGET,
-) -> list[tuple[str, str, str]]:
-    """linkage_checks() rows plus a "no irrelevant vertices" row: the
-    full battery.
-
-    A non-terminal v is irrelevant when deleting it leaves solvability
-    as it was.  The exact count decides that without deleting anything:
-    at count 0 every non-terminal is irrelevant, and otherwise exactly
-    the non-terminals that some linkage avoids are (a linkage of G - v
-    is a linkage of G that avoids v).  When the count is aborted the
-    row is INDETERMINATE.  max_nodes and max_seconds bound the count.
-    """
-    checks, result = _linkage_rows(instance, max_nodes, max_seconds)
-    if result.status == STATUS_ABORTED:
-        checks.append(("no irrelevant vertices", "INDETERMINATE", "no exact count"))
-        return checks
+    if link is None:
+        detail = "no solution" if result.count == 0 else "no unique linkage"
+        checks += [(name, "FAIL", detail) for name in linkage_rows]
+    else:
+        # Instance rejects inner terminals under a layout, so every
+        # path's crossing count is defined.
+        report = crossing_report(link.paths, instance.layout)
+        want_profile = expected_crossing_profile(k)
+        want_total = 2**k - 1
+        checks += [
+            ("spanning", "PASS" if spans_all_vertices(link) else "FAIL",
+             f"covers {len(link.vertices())}/{instance.graph.vertex_count} vertices"),
+            ("crossing profile", "PASS" if report.per_path == want_profile else "FAIL",
+             f"got {list(report.per_path)}, want {list(want_profile)}"),
+            ("crossing total", "PASS" if report.total == want_total else "FAIL",
+             f"got {report.total}, want {want_total}"),
+        ]
     terminals = {v for pair in instance.pairs for v in pair}
     used = result.used_by_all or frozenset()
     irrelevant = [v for v in range(instance.graph.vertex_count)
@@ -298,7 +275,7 @@ def _check_candidate(
         return [f"k={k}: build failed: {exc}"]
     return [
         f"k={k}: {name}: {detail}"
-        for name, verdict, detail in linkage_checks(instance, max_nodes, max_seconds)
+        for name, verdict, detail in verify_instance(instance, max_nodes, max_seconds)
         if verdict != "PASS"
     ]
 
@@ -312,8 +289,9 @@ def calibrate_arc_rule(
     behavior for every k <= k_max: a unique solution that spans all
     vertices with crossing profile 0, 1, 2, 4, ...
 
-    Placements are tried in order, the default corner first; within a
-    placement every rule is checked and the passing one is returned.
+    Placements are tried in S0_PLACEMENTS order; within a placement
+    every rule is checked against every verify_instance() row and the
+    passing one is returned.
     Raises CalibrationError with the full per-candidate violation report
     when nothing passes.  max_nodes bounds each search; max_seconds is
     one deadline for the whole call, so each check gets what the ones

@@ -25,12 +25,13 @@ a terminal and the linkage need not span; a blocked vertex never enters,
 since none of its edges is scheduled.  Partial edge sets that reach the
 same state have the same completions, so states merge and carry a count;
 the count of the one state left at the end is the number of linkages.
-Each state also keeps the edges of the first partial set that reached
-it, the vertices that every partial set reaching it uses (merged by
-AND) and the edges that some partial set reaching it uses (merged by
-OR).  So the answer comes with one witness linkage, the vertices that
-all linkages share and the edges that at least one linkage uses; solve()
-searches only the last.
+Each state also keeps the vertices that every partial set reaching it
+uses (merged by AND) and the edges that some partial set reaching it
+uses (merged by OR).  So the answer comes with the vertices that all
+linkages share and the edges that at least one linkage uses; solve()
+searches only the last.  A count has no canonical member, so the answer
+names a linkage only when there is exactly one: its edges are then the
+edges some linkage uses, and the witness is traced from them.
 
 The entry order sets the frontier's width and so the number of states.
 With a grid layout vertices enter column by column, which keeps the
@@ -70,8 +71,8 @@ neither, stays the independent reference.
   still to come, so it is cached on them for the run.
 
 A pruned state has no completion, and every state a completion passes
-through has one, so no count, witness or merged set changes: only
-nodes and peak_states drop.
+through has one, so no count or merged set changes: only nodes and
+peak_states drop.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ from .width import _greedy_layout
 
 # Live states allowed in a step's output; past it the count is aborted,
 # so memory stays bounded whatever the budgets say.  A state costs about
-# 0.5 KB (tuple, dict entry, count, witness), and a step holds its input
-# and its output, so a run stays near 100 MB.  With the prunes the
+# 0.5 KB (tuple, dict entry, count, merged sets), and a step holds its
+# input and its output, so a run stays near 100 MB.  With the prunes the
 # calibrated k = 4 instance peaks at 4,801 states; the k = 5 one reaches
 # the cap inside its first column, and solve() then searches on every
 # edge.
@@ -122,14 +123,15 @@ class LinkageCount:
     """What count_linkages() found.
 
     status is STATUS_SOLVABLE (count >= 1), STATUS_UNSOLVABLE (count 0)
-    or STATUS_ABORTED, in which case count and witness are None and
-    limit names the budget that ran out ("nodes", "states" or
-    "seconds").  used_by_all holds the vertices every linkage uses; it
-    is None unless the count is at least 1.  used_by_some holds the
-    edges at least one linkage uses, each (u, v) with u < v; it is empty
-    when the count is 0 and None when the run aborted.  nodes is the
-    number of state expansions, peak_states the largest number of live
-    states a step produced.
+    or STATUS_ABORTED, in which case count is None and limit names the
+    budget that ran out ("nodes", "states" or "seconds").  witness is
+    the linkage when the count is 1, and None otherwise.  used_by_all
+    holds the vertices every linkage uses; it is None unless the count
+    is at least 1.  used_by_some holds the edges at least one linkage
+    uses, each (u, v) with u < v; it is empty when the count is 0 and
+    None when the run aborted.  nodes is the number of state expansions,
+    peak_states the largest number of live states a step produced; only
+    these two depend on the entry order.
     """
 
     status: str
@@ -338,8 +340,9 @@ def count_linkages(
     require_spanning: bool = False,
     blocked: Iterable[int] = (),
 ) -> LinkageCount:
-    """Count the linkages of instance exactly, with one witness, the
-    vertices that all of them use and the edges that some of them use.
+    """Count the linkages of instance exactly, with the vertices that
+    all of them use, the edges that some of them use and, when there is
+    exactly one, the linkage itself.
 
     Vertices in blocked are deleted, as in solve(), and with
     require_spanning a linkage must use every other vertex.  Each state
@@ -354,24 +357,23 @@ def count_linkages(
         return LinkageCount(STATUS_UNSOLVABLE, 0, None, None, frozenset(), 0, 1)
     steps, width = plan
     # counts maps a state to [number of partial edge sets reaching it,
-    # edges of the first one as a linked list (edge, rest) or None,
     # bitmask of the vertices that all of them use, bitmask of the steps
     # whose edge some of them take].
     root = (_FREE,) * width
-    counts: dict[tuple[int, ...], list] = {root: [1, None, 0, 0]}
+    counts: dict[tuple[int, ...], list] = {root: [1, 0, 0]}
     nodes = 0
     peak = 1
     # Non-crossing verdicts by the ends read, for the whole run.
     verdicts: dict[tuple, bool] = {}
     try:
-        for edge, step_bit, bits, a, b, la, lb, leaving, same_check, new_check in steps:
+        for _, step_bit, bits, a, b, la, lb, leaving, same_check, new_check in steps:
             if time.monotonic() > deadline:
                 raise _Abort("seconds")
             if nodes + len(counts) > max_nodes:
                 raise _Abort("nodes")
             next_counts: dict[tuple[int, ...], list] = {}
             get = next_counts.get
-            for state, (c, first, used, some) in counts.items():
+            for state, (c, used, some) in counts.items():
                 nodes += 1
                 if not nodes & 4095:
                     if time.monotonic() > deadline:
@@ -385,11 +387,11 @@ def count_linkages(
                     entry = get(child)
                     if entry is None:
                         if same_check is None or _alive(child, same_check, verdicts):
-                            next_counts[child] = [c, first, used, some]
+                            next_counts[child] = [c, used, some]
                     else:
                         entry[0] += c
-                        entry[2] &= used
-                        entry[3] |= some
+                        entry[1] &= used
+                        entry[2] |= some
                 # Take it.
                 x, y = state[a], state[b]
                 if x == _DONE or y == _DONE:
@@ -432,11 +434,11 @@ def count_linkages(
                         if new_check is None or _alive(
                                 child, same_check if (x == _FREE) != (y == _FREE) else new_check,
                                 verdicts):
-                            next_counts[child] = [c, (edge, first), used, some]
+                            next_counts[child] = [c, used, some]
                     else:
                         entry[0] += c
-                        entry[2] &= used
-                        entry[3] |= some
+                        entry[1] &= used
+                        entry[2] |= some
             counts = next_counts
             if len(counts) > peak:
                 peak = len(counts)
@@ -447,9 +449,10 @@ def count_linkages(
     # Every vertex has left, so at most the all-free state is left.
     if root not in counts:
         return LinkageCount(STATUS_UNSOLVABLE, 0, None, None, frozenset(), nodes, peak)
-    total, chain, used, some = counts[root]
+    total, used, some = counts[root]
     used_by_some = frozenset(steps[i][0] for i in iter_bits(some))
-    return LinkageCount(STATUS_SOLVABLE, total, _witness(instance, chain),
+    return LinkageCount(STATUS_SOLVABLE, total,
+                        _witness(instance, used_by_some) if total == 1 else None,
                         frozenset(iter_bits(used)), used_by_some, nodes, peak)
 
 
@@ -566,11 +569,10 @@ def _settle(i: int, ident: list[int], stack: list[int], left: dict[int, int],
     return False
 
 
-def _witness(instance: Instance, chain: tuple | None) -> Linkage:
-    """The linkage whose edges the linked list chain holds."""
+def _witness(instance: Instance, edges: Iterable[Edge]) -> Linkage:
+    """The linkage whose edges are edges, each path traced from its s."""
     near: dict[int, list[int]] = {}
-    while chain is not None:
-        (u, v), chain = chain
+    for u, v in edges:
         near.setdefault(u, []).append(v)
         near.setdefault(v, []).append(u)
     paths = []

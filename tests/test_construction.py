@@ -25,7 +25,6 @@ from gridlinkage import (
     verify_instance,
 )
 from gridlinkage import construction
-from gridlinkage.construction import linkage_checks
 
 
 def arc_edges(instance):
@@ -36,9 +35,11 @@ def arc_edges(instance):
 
 class TestTerminalPlacement:
     def test_k1_default_corner(self):
-        inst = build_instance(1)
+        inst = build_instance(1, s0_placement=S0_TOP_RIGHT)
         # pair 0 first, then pair i in index order; s before t
         assert inst.pairs == ((8, 6), (3, 5))
+        # The default corner is the calibrated one, which `generate` uses.
+        assert build_instance(1) == build_instance(1, s0_placement=CALIBRATED_S0_PLACEMENT)
 
     def test_k1_calibrated_corner(self):
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
@@ -208,17 +209,19 @@ class TestCheckBattery:
     def test_calibration_reports_the_failing_rows(self):
         report = calibrate_arc_rule(1).reports[1]
         assert (report.rule_id, report.s0_placement) == ("pow2", S0_TOP_RIGHT)
-        # The rows other than uniqueness inspect the count's witness,
-        # one of the four linkages; it crosses as intended but misses
-        # three vertices.
+        # Four linkages: there is no one linkage to inspect, and every
+        # non-terminal but vertex 7 is avoided by one of them.
         assert report.violations == (
             "k=1: uniqueness: linkages: 4 (exact count)",
-            "k=1: spanning: covers 6/9 vertices",
+            "k=1: spanning: no unique linkage",
+            "k=1: crossing profile: no unique linkage",
+            "k=1: crossing total: no unique linkage",
+            "k=1: no irrelevant vertices: irrelevant: [0, 1, 2, 4]",
         )
 
     def test_exhausted_budget_is_indeterminate(self):
-        rows = linkage_checks(build_instance(2, s0_placement=S0_BOTTOM_LEFT), max_nodes=2)
-        assert [verdict for _, verdict, _ in rows] == ["INDETERMINATE"] * 4
+        rows = verify_instance(build_instance(2, s0_placement=S0_BOTTOM_LEFT), max_nodes=2)
+        assert [verdict for _, verdict, _ in rows] == ["INDETERMINATE"] * 5
 
     def test_one_deadline_for_the_whole_battery(self):
         # The k = 5 count cannot finish in a second; every row, the

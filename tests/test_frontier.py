@@ -2,10 +2,11 @@
 
 count_linkages() must count exactly what solve(enumerate_all) lists,
 whatever order its vertices enter in, with or without require_spanning
-and blocked vertices.  Its witness must be one of those linkages, the
-vertices it says every linkage uses must be exactly those, and the edges
-it says some linkage uses must be exactly the union of their edges.  A
-budget or the state cap ends a run as aborted, never as a count.
+and blocked vertices.  Its witness must be the one linkage when there is
+one and None otherwise, the vertices it says every linkage uses must be
+exactly those, and the edges it says some linkage uses must be exactly
+the union of their edges.  A budget or the state cap ends a run as
+aborted, never as a count.
 
 solve() on an instance with a grid layout searches only the edges the
 count says some linkage uses; it must return what the search on the
@@ -17,8 +18,10 @@ with none, and the layout-stripped count stays the independent
 reference.
 """
 
+import math
 import random
 import sys
+import types
 
 import pytest
 
@@ -44,7 +47,6 @@ from gridlinkage import (
     verify_instance,
 )
 from gridlinkage import frontier
-from gridlinkage.construction import linkage_checks
 from gridlinkage.graphs import grid_vertex_id
 
 
@@ -84,15 +86,17 @@ def assert_matches_enumeration(instance, require_spanning=False, blocked=()):
                   require_spanning=require_spanning, blocked=blocked)
     assert result.count == len(every.solutions)
     assert result.used_by_some == set().union(*map(edges_of, every.solutions))
+    if result.count == 1:
+        check_linkage(instance, result.witness.paths)
+        assert every.solutions == (result.witness,)
+    else:
+        assert result.witness is None
     if result.count:
         assert result.status == STATUS_SOLVABLE
-        check_linkage(instance, result.witness.paths)
-        assert result.witness in every.solutions
         assert result.used_by_all == frozenset.intersection(
             *(link.vertices() for link in every.solutions))
     else:
-        assert (result.status, result.witness, result.used_by_all) == (
-            STATUS_UNSOLVABLE, None, None)
+        assert (result.status, result.used_by_all) == (STATUS_UNSOLVABLE, None)
     return result
 
 
@@ -165,7 +169,29 @@ class TestBudgets:
         result = count_linkages(instance)
         self.assert_aborted(result, "states")
         assert 100 < result.peak_states <= 200
-        assert {verdict for _, verdict, _ in linkage_checks(instance)} == {"INDETERMINATE"}
+        assert {verdict for _, verdict, _ in verify_instance(instance)} == {"INDETERMINATE"}
+
+    def test_state_cap_inside_a_step(self, monkeypatch):
+        # The cap is also read every 4,096 expansions inside a step: the
+        # k = 4 top-right count passes 5,750 states inside the step in
+        # which it expands its 12,288th state.
+        monkeypatch.setattr(frontier, "MAX_STATES", 5750)
+        result = count_linkages(build_instance(4, s0_placement=S0_TOP_RIGHT))
+        self.assert_aborted(result, "states")
+        assert (result.nodes, result.peak_states) == (12_288, 9_325)
+
+    def test_deadline_inside_a_step(self, monkeypatch):
+        # The clock is also read every 4,096 expansions inside a step.
+        # This one reads past the deadline only there, so the k = 4 count
+        # stops at its 4,096th expansion, in the middle of a step.
+        def clock():
+            nodes = sys._getframe(1).f_locals.get("nodes", 0)
+            return math.inf if nodes and not nodes % 4096 else 0.0
+
+        monkeypatch.setattr(frontier, "time", types.SimpleNamespace(monotonic=clock))
+        result = count_linkages(build_instance(4))
+        self.assert_aborted(result, "seconds")
+        assert result.nodes == 4096
 
 
 def answer(result):
@@ -235,8 +261,7 @@ class TestPrunes:
                                            require_spanning=spanning)
                 if reference.status != STATUS_ABORTED:
                     compared += 1
-                    assert (pruned.count, pruned.used_by_all, pruned.used_by_some) == (
-                        reference.count, reference.used_by_all, reference.used_by_some)
+                    assert answer(pruned) == answer(reference)
         assert (plain_nodes, pruned_nodes) == (1_031_057, 8_719)
         assert compared == 24 + 6
 
@@ -264,8 +289,7 @@ class TestPrunes:
                                            require_spanning=spanning)
                 if reference.status != STATUS_ABORTED:
                     compared += 1
-                    assert (pruned.count, pruned.used_by_all, pruned.used_by_some) == (
-                        reference.count, reference.used_by_all, reference.used_by_some)
+                    assert answer(pruned) == answer(reference)
         assert compared == 400
         assert (plain_nodes, pruned_nodes) == (478_464, 367_024)
 
@@ -290,7 +314,7 @@ class TestPrunes:
         # an end, takes each unused non-terminal for an end and prunes all
         # four linkages.
         monkeypatch.setattr(frontier, "PRUNE_MIN_ROWS", 1)
-        assert count_linkages(build_instance(1)).count == 4
+        assert count_linkages(build_instance(1, s0_placement=S0_TOP_RIGHT)).count == 4
 
     @pytest.mark.parametrize("ends,wild,verdict", [
         ((), (), True),

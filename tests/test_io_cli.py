@@ -35,7 +35,7 @@ from gridlinkage.cli import (
     build_parser,
     main,
 )
-from gridlinkage.construction import S0_BOTTOM_LEFT
+from gridlinkage.construction import S0_BOTTOM_LEFT, S0_TOP_RIGHT
 
 
 class TestInstanceRoundTrip:
@@ -58,7 +58,7 @@ class TestInstanceRoundTrip:
         assert serialize_instance(inst).endswith("\n")
 
     def test_digest_shape_and_sensitivity(self):
-        a = build_instance(1)
+        a = build_instance(1, s0_placement=S0_TOP_RIGHT)
         b = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
         da, db = instance_digest(a), instance_digest(b)
         assert len(da) == 64 and set(da) <= set("0123456789abcdef")

@@ -446,6 +446,18 @@ class TestPatternAndPairing:
         link = Linkage((), graph)
         assert pairing_of(link) == frozenset()
 
+    def test_canonical_key(self, two_pair):
+        # Reversing a path or permuting the paths keeps the key, and
+        # the seven distinct linkages of two_pair get seven keys.
+        keys = set()
+        for paths in SEVEN:
+            key = Linkage(paths, two_pair.graph).canonical_key()
+            first, second = paths
+            for same in ((first[::-1], second), (second, first), (second[::-1], first[::-1])):
+                assert Linkage(same, two_pair.graph).canonical_key() == key
+            keys.add(key)
+        assert len(keys) == len(SEVEN)
+
 
 class TestVitalLinkage:
     def test_cycle_paths_vital(self):
@@ -549,6 +561,18 @@ class TestIrrelevantVertices:
         assert rep.baseline_status == STATUS_SOLVABLE
         assert rep.indeterminate == frozenset(range(inst.graph.vertex_count)) - terminals
         assert rep.irrelevant == rep.relevant == frozenset()
+
+    def test_one_aborted_deletion_is_indeterminate(self):
+        # The baseline decides inside four nodes, the solves without
+        # vertex 1 or 2 do not: those two alone are indeterminate, and
+        # the sweep classifies the rest.
+        inst = list(random_batch(3, 300, 12, 3))[68]
+        assert (inst.graph.vertex_count, inst.pairs) == (8, ((5, 4),))
+        rep = irrelevant_vertices(inst, max_nodes=4)
+        assert rep.baseline_status == STATUS_SOLVABLE
+        assert rep.indeterminate == frozenset({1, 2})
+        assert rep.irrelevant == frozenset({0, 3, 6, 7})
+        assert rep.relevant == frozenset()
 
     def test_tiny_budget_reports_indeterminate(self, two_pair):
         rep = irrelevant_vertices(two_pair, max_nodes=2)
