@@ -2,11 +2,10 @@
 
 count_linkages() counts every linkage of an instance, the edge sets in
 which each pair is joined by a path and the paths share no vertex.
-Blocked vertices count as deleted, and with require_spanning a linkage
-must also use every vertex that is not blocked.  It is a SIMPATH-style
-frontier search (Knuth, TAOCP 7.1.4; Kawahara et al., "Frontier-based
-search for enumerating all constrained subgraphs with compressed
-representation", 2017).  Vertices enter one at a time, and
+With require_spanning a linkage must also use every vertex.  It is a
+SIMPATH-style frontier search (Knuth, TAOCP 7.1.4; Kawahara et al.,
+"Frontier-based search for enumerating all constrained subgraphs with
+compressed representation", 2017).  Vertices enter one at a time, and
 each edge is decided, taken or left out, when its later endpoint
 enters.  A vertex leaves the frontier after its last edge is
 decided.  A state records, for each frontier vertex, one of:
@@ -21,17 +20,17 @@ decided.  A state records, for each frontier vertex, one of:
 Taking an edge is refused when it would touch a done vertex, close a
 cycle (join an end to its own mate) or join fragments of two different
 pairs.  A vertex leaves only as done, or with degree 0 when it is not
-a terminal and the linkage need not span; a blocked vertex never enters,
-since none of its edges is scheduled.  Partial edge sets that reach the
-same state have the same completions, so states merge and carry a count;
-the count of the one state left at the end is the number of linkages.
-Each state also keeps the vertices that every partial set reaching it
-uses (merged by AND) and the edges that some partial set reaching it
-uses (merged by OR).  So the answer comes with the vertices that all
-linkages share and the edges that at least one linkage uses; solve()
-searches only the last.  A count has no canonical member, so the answer
-names a linkage only when there is exactly one: its edges are then the
-edges some linkage uses, and the witness is traced from them.
+a terminal and the linkage need not span; a vertex without edges never
+enters.  Partial edge sets that reach the same state have the same
+completions, so states merge and carry a count; the count of the one
+state left at the end is the number of linkages.  Each state also
+keeps the vertices that every partial set reaching it uses (merged by
+AND) and the edges that some partial set reaching it uses (merged by
+OR).  So the answer comes with the vertices that all linkages share
+and the edges that at least one linkage uses; solve() searches only
+the last.  A count has no canonical member, so the answer names a
+linkage only when there is exactly one: its edges are then the edges
+some linkage uses, and the witness is traced from them.
 
 The entry order sets the frontier's width and so the number of states.
 With a grid layout vertices enter column by column, which keeps the
@@ -92,7 +91,6 @@ from .solver import (
     STATUS_UNSOLVABLE,
     Instance,
     Linkage,
-    check_blocked,
 )
 from .width import _greedy_layout
 
@@ -181,14 +179,13 @@ def _order(instance: Instance, deadline: float) -> list[int]:
 
 
 def _schedule(
-    instance: Instance, require_spanning: bool, blocked: int, deadline: float
+    instance: Instance, require_spanning: bool, deadline: float
 ) -> tuple[list[_Step], int] | None:
     """The edge steps of a run in order, and the number of slots.
 
     A vertex takes the lowest free slot when it enters and frees it after
-    its last edge.  The edges of blocked vertices are left out.  Returns
-    None when a vertex every linkage must use has no edges: a terminal,
-    or under require_spanning any vertex not blocked.
+    its last edge.  Returns None when a vertex every linkage must use
+    has no edges: a terminal, or under require_spanning any vertex.
 
     On a layout of at least PRUNE_MIN_ROWS rows each step also carries
     its prunes (see the module docstring): under require_spanning the
@@ -208,12 +205,7 @@ def _schedule(
     for i, (s, t) in enumerate(instance.pairs):
         label[s] = label[t] = -(i + 1)
     adjacency = graph.adjacency
-    if blocked:
-        adjacency = [
-            () if blocked >> v & 1 else [w for w in adjacency[v] if not blocked >> w & 1]
-            for v in range(n)
-        ]
-    must_use = [bool(label[v]) or require_spanning and not blocked >> v & 1 for v in range(n)]
+    must_use = [bool(label[v]) or require_spanning for v in range(n)]
     if any(not adjacency[v] and must_use[v] for v in range(n)):
         return None
     # A vertex's last edge is decided when its last neighbour enters.
@@ -235,9 +227,8 @@ def _schedule(
         arc_edges = {e for e in graph.edges if layout.arc_side(*e) is not None}
         arcs = [0] * n
         for u, w in arc_edges:
-            if not (blocked >> u | blocked >> w) & 1:
-                arcs[u] += 1
-                arcs[w] += 1
+            arcs[u] += 1
+            arcs[w] += 1
         arced = crowded = 0
         row_of = [layout.cells[v][0] for v in range(n)]
         by_row: list[list[int]] = [[] for _ in range(layout.rows + 1)]
@@ -338,21 +329,19 @@ def count_linkages(
     max_seconds: float = DEFAULT_TIME_BUDGET,
     *,
     require_spanning: bool = False,
-    blocked: Iterable[int] = (),
 ) -> LinkageCount:
     """Count the linkages of instance exactly, with the vertices that
     all of them use, the edges that some of them use and, when there is
     exactly one, the linkage itself.
 
-    Vertices in blocked are deleted, as in solve(), and with
-    require_spanning a linkage must use every other vertex.  Each state
+    With require_spanning a linkage must use every vertex.  Each state
     expanded at an edge step is one node against max_nodes, and
     max_seconds is one deadline for the whole run.  The run also stops
     once a step produces more than MAX_STATES states.  Any of the three
     ends it as STATUS_ABORTED.
     """
     deadline = time.monotonic() + max_seconds
-    plan = _schedule(instance, require_spanning, check_blocked(instance, blocked), deadline)
+    plan = _schedule(instance, require_spanning, deadline)
     if plan is None:
         return LinkageCount(STATUS_UNSOLVABLE, 0, None, None, frozenset(), 0, 1)
     steps, width = plan

@@ -79,10 +79,6 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    @cached_property
-    def label_map(self) -> dict[int, str]:
-        return dict(self.labels)
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
@@ -223,9 +219,6 @@ class CrossingReport:
     per_path: tuple[int | None, ...]
     total: int
     undefined_paths: frozenset[int] = field(default=frozenset())
-
-    def all_defined(self) -> bool:
-        return not self.undefined_paths
 
 
 def crossing_report(paths: Iterable[tuple[int, ...]], layout: GridLayout) -> CrossingReport:

@@ -171,30 +171,29 @@ def parse_solution(text: str) -> dict:
     return doc
 
 
-def solution_paths(instance: Instance, doc: dict, index: int = 0) -> Linkage:
-    """Extract one recorded solution as a Linkage over the instance graph.
+def solution_paths(instance: Instance, doc: dict) -> Linkage:
+    """Extract the first recorded solution, solution 0, as a Linkage over
+    the instance graph.
 
-    Raises ValueError when the document holds no solution list or the
-    chosen entry is not a valid linkage of the instance.
+    Raises ValueError when the document holds no solution or solution 0
+    is not a valid linkage of the instance.
     """
     recorded = doc.get("solutions")
     if not isinstance(recorded, list):
         raise ValueError("solution document has no 'solutions' list")
-    if not 0 <= index < len(recorded):
-        raise ValueError(
-            f"document records {len(recorded)} solutions, index {index} out of range"
-        )
-    entry = recorded[index]
+    if not recorded:
+        raise ValueError("document records 0 solutions, index 0 out of range")
+    entry = recorded[0]
     if not isinstance(entry, list) or not all(
         isinstance(path, list) and all(type(v) is int for v in path)
         for path in entry
     ):
-        raise ValueError(f"solution {index} is not a list of vertex lists")
+        raise ValueError("solution 0 is not a list of vertex lists")
     paths = tuple(tuple(path) for path in entry)
     try:
         check_linkage(instance, paths)
     except ValueError as exc:
-        raise ValueError(f"solution {index}: {exc}") from exc
+        raise ValueError(f"solution 0: {exc}") from exc
     return Linkage(paths, instance.graph)
 
 

@@ -8,8 +8,8 @@ capped counting and full enumeration are all exact.  brute_force_oracle()
 re-derives the same answers by unpruned enumeration and exists to keep the
 search honest in tests.
 
-The prunes work on the free set: the vertices that are neither blocked
-nor terminals nor on a path yet.  Two vertices can still be joined iff
+The prunes work on the free set: the vertices that are neither
+terminals nor on a path yet.  Two vertices can still be joined iff
 they are adjacent or one connected component of the free set touches
 both of their neighborhoods.  A search node answers every reachability
 question from component labels.  It inherits them from its parent:
@@ -54,7 +54,7 @@ Budgets bound the search; an exhausted budget surfaces as status
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .bitsets import components, iter_bits, split_components
@@ -195,19 +195,6 @@ def check_linkage(
         raise ValueError("linkage does not span all vertices")
 
 
-def check_blocked(instance: Instance, blocked: Iterable[int]) -> int:
-    """The vertices in blocked as a bitmask.  Raises ValueError when one
-    is out of range or a terminal, since terminals cannot be blocked."""
-    mask = 0
-    for v in blocked:
-        if not 0 <= v < instance.graph.vertex_count:
-            raise ValueError(f"blocked vertex {v} out of range")
-        mask |= 1 << v
-    if mask and any(mask >> v & 1 for pair in instance.pairs for v in pair):
-        raise ValueError("terminals cannot be blocked")
-    return mask
-
-
 def _check_closed(
     adj: list[int],
     pairs: tuple[tuple[int, int], ...],
@@ -305,18 +292,15 @@ def solve(
     require_spanning: bool = False,
     max_nodes: int = DEFAULT_NODE_BUDGET,
     max_seconds: float = DEFAULT_TIME_BUDGET,
-    blocked: Iterable[int] = (),
     order: str = ORDER_ASCENDING,
     pair_order: str = PAIR_ORDER_INPUT,
 ) -> SolveOutcome:
     """Solve a disjoint-paths instance exactly.
 
     mode is one of "decide" (stop at the first solution), "count_up_to"
-    (stop once cap solutions are found) and "enumerate_all".  Vertices in
-    blocked are removed from play, which is equivalent to deleting them;
-    terminals cannot be blocked.  The prunes are sound, so all modes
-    return exactly what an unpruned search would.  Solutions come back in
-    canonical order.
+    (stop once cap solutions are found) and "enumerate_all".  The prunes
+    are sound, so all modes return exactly what an unpruned search would.
+    Solutions come back in canonical order.
 
     order picks the neighbor exploration order: "ascending" (canonical
     default) or "min-degree", a most-constrained-first heuristic that can
@@ -326,7 +310,7 @@ def solve(
     fewest open neighbors first; ties keep input order.  Reported paths
     always follow the input pair order.  All four combinations are
     deterministic and none changes the solution set.  With
-    require_spanning a solution must cover every vertex not blocked.
+    require_spanning a solution must cover every vertex.
 
     A node is pruned when a pair can no longer be joined: the current
     pair from its path head to t, or a pending pair from s to t.  The
@@ -362,10 +346,10 @@ def solve(
     the ValueError check_linkage() would raise.
 
     When instance has a grid layout, count_linkages() runs first with
-    the same require_spanning and blocked, and the search moves and
-    prunes only on the edges it reports some linkage using: candidates,
-    component labels and splits, both prunes and the spanning seeds.
-    The pair_order tightness, the min-degree ranking and the path check
+    the same require_spanning, and the search moves and prunes only on
+    the edges it reports some linkage using: candidates, component
+    labels and splits, both prunes and the spanning seeds.  The
+    pair_order tightness, the min-degree ranking and the path check
     still read every edge, so the search tries the same candidates in
     the same order, less subtrees that hold no solution, and every mode
     returns what the search on every edge returns.  nodes_explored is
@@ -421,7 +405,6 @@ def solve(
 
     graph, pairs = instance.graph, instance.pairs
     n = graph.vertex_count
-    blocked_mask = check_blocked(instance, blocked)
     terminal_mask = 0
     for s, t in pairs:
         terminal_mask |= (1 << s) | (1 << t)
@@ -436,13 +419,12 @@ def solve(
         from .frontier import count_linkages  # frontier imports this module
 
         counted = count_linkages(instance, max_nodes, max_seconds,
-                                 require_spanning=require_spanning,
-                                 blocked=iter_bits(blocked_mask))
+                                 require_spanning=require_spanning)
         nodes = counted.nodes
         if counted.status != STATUS_ABORTED:
             adj = Graph(n, counted.used_by_some).masks
     all_mask = (1 << n) - 1 if n else 0
-    free0 = all_mask & ~terminal_mask & ~blocked_mask
+    free0 = all_mask & ~terminal_mask
     if pair_order == PAIR_ORDER_AUTO:
         def tightness(i: int) -> tuple[int, int]:
             s, t = pairs[i]
@@ -477,9 +459,7 @@ def solve(
     # been checked.
     done_paths: list[tuple[int, ...]] = []
     used_masks: list[int | None] = [0]
-    # The vertices a complete linkage must cover: under require_spanning
-    # all but the blocked ones, which count as deleted.
-    cover = all_mask & ~blocked_mask if require_spanning else 0
+    cover = all_mask if require_spanning else 0
     no_labels: tuple[list[int], int] = ([], 0)
     min_degree = order == ORDER_MIN_DEGREE
 
@@ -938,6 +918,9 @@ def irrelevant_vertices(
     """Classify each non-terminal vertex by whether deleting it changes
     solvability.  Budget exhaustion is flagged per vertex, never guessed.
 
+    Deleting v drops its edges: G - v is solved as the same instance
+    without them, so vertex ids, pairs and layout stay as they are.
+
     max_nodes bounds each solve; max_seconds is one deadline for the
     baseline solve and the whole sweep.  A vertex the sweep does not
     reach before the deadline is indeterminate.
@@ -953,14 +936,16 @@ def irrelevant_vertices(
     irrelevant: set[int] = set()
     relevant: set[int] = set()
     indeterminate: set[int] = set()
+    graph = instance.graph
     for v in candidates:
         left = deadline - time.monotonic()
         if left <= 0:
             indeterminate.add(v)
             continue
+        without_v = replace(graph, edges=frozenset(e for e in graph.edges if v not in e))
         outcome = solve(
-            instance, mode="decide", max_nodes=max_nodes, max_seconds=left,
-            blocked=(v,),
+            replace(instance, graph=without_v), mode="decide",
+            max_nodes=max_nodes, max_seconds=left,
         )
         if outcome.status == STATUS_ABORTED:
             indeterminate.add(v)

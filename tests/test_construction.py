@@ -56,7 +56,7 @@ class TestTerminalPlacement:
 
     def test_terminal_labels(self):
         inst = build_instance(2, s0_placement=S0_BOTTOM_LEFT)
-        assert inst.graph.label_map == {
+        assert dict(inst.graph.labels) == {
             0: "s0",
             5: "s2",
             10: "s1",

@@ -1,12 +1,12 @@
 """Frontier-DP linkage counts against exhaustive enumeration.
 
 count_linkages() must count exactly what solve(enumerate_all) lists,
-whatever order its vertices enter in, with or without require_spanning
-and blocked vertices.  Its witness must be the one linkage when there is
-one and None otherwise, the vertices it says every linkage uses must be
-exactly those, and the edges it says some linkage uses must be exactly
-the union of their edges.  A budget or the state cap ends a run as
-aborted, never as a count.
+whatever order its vertices enter in, with or without require_spanning,
+and with each non-terminal deleted in turn.  Its witness must be the
+one linkage when there is one and None otherwise, the vertices it says
+every linkage uses must be exactly those, and the edges it says some
+linkage uses must be exactly the union of their edges.  A budget or
+the state cap ends a run as aborted, never as a count.
 
 solve() on an instance with a grid layout searches only the edges the
 count says some linkage uses; it must return what the search on the
@@ -18,6 +18,7 @@ with none, and the layout-stripped count stays the independent
 reference.
 """
 
+import dataclasses
 import math
 import random
 import sys
@@ -67,23 +68,26 @@ def stripped(instance):
     return Instance.make(instance.graph, instance.pairs)
 
 
-def blockings(instance):
-    """No blocked vertex, then each non-terminal blocked alone."""
+def deletions(instance):
+    """The instance, then the instance with each non-terminal's edges
+    deleted in turn.  Only counts without require_spanning delete: a
+    spanning count of an instance with an isolated vertex is 0."""
     terminals = {v for pair in instance.pairs for v in pair}
-    yield ()
-    for v in range(instance.graph.vertex_count):
+    yield instance
+    graph = instance.graph
+    for v in range(graph.vertex_count):
         if v not in terminals:
-            yield (v,)
+            edges = frozenset(e for e in graph.edges if v not in e)
+            yield dataclasses.replace(instance, graph=dataclasses.replace(graph, edges=edges))
 
 
 def edges_of(linkage):
     return {(min(u, v), max(u, v)) for path in linkage.paths for u, v in zip(path, path[1:])}
 
 
-def assert_matches_enumeration(instance, require_spanning=False, blocked=()):
-    result = count_linkages(instance, require_spanning=require_spanning, blocked=blocked)
-    every = solve(stripped(instance), mode="enumerate_all",
-                  require_spanning=require_spanning, blocked=blocked)
+def assert_matches_enumeration(instance, require_spanning=False):
+    result = count_linkages(instance, require_spanning=require_spanning)
+    every = solve(stripped(instance), mode="enumerate_all", require_spanning=require_spanning)
     assert result.count == len(every.solutions)
     assert result.used_by_some == set().union(*map(edges_of, every.solutions))
     if result.count == 1:
@@ -106,9 +110,9 @@ class TestCounts:
         assert len(built) == 12
         counts = set()
         for instance in built:
-            for spanning in (False, True):
-                for blocked in blockings(instance):
-                    counts.add(assert_matches_enumeration(instance, spanning, blocked).count)
+            for each in deletions(instance):
+                counts.add(assert_matches_enumeration(each).count)
+            counts.add(assert_matches_enumeration(instance, True).count)
             # Without a layout the vertices enter in each component's
             # greedy pathwidth layout: the order sets the frontier, never
             # the count.
@@ -117,22 +121,15 @@ class TestCounts:
 
     def test_random_batch(self):
         for instance in random_batch(11, 400):
-            for spanning in (False, True):
-                for blocked in blockings(instance):
-                    assert_matches_enumeration(instance, spanning, blocked)
+            for each in deletions(instance):
+                assert_matches_enumeration(each)
+            assert_matches_enumeration(instance, True)
 
     def test_vertices_without_edges(self):
         graph = Graph.from_edges(3, [(0, 1)])
         for pairs in ([(0, 1)], [(0, 2)], []):
             for spanning in (False, True):
                 assert_matches_enumeration(Instance.make(graph, pairs), spanning)
-
-    def test_blocked_is_validated(self):
-        instance = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
-        with pytest.raises(ValueError, match="terminals cannot be blocked"):
-            count_linkages(instance, blocked=instance.pairs[0])
-        with pytest.raises(ValueError, match="out of range"):
-            count_linkages(instance, blocked=(instance.graph.vertex_count,))
 
     def test_k3_has_one_linkage(self):
         instance = build_instance(3, s0_placement=S0_BOTTOM_LEFT)
@@ -266,12 +263,11 @@ class TestPrunes:
         assert compared == 24 + 6
 
     def test_blocked_vertices(self, monkeypatch):
+        # A vertex is blocked by deleting its edges.
         for instance in candidates():
-            for blocked in blockings(instance):
-                for spanning in (False, True):
-                    plain, pruned = plain_and_pruned(monkeypatch, instance, blocked=blocked,
-                                                     require_spanning=spanning)
-                    assert answer(pruned) == answer(plain)
+            for each in deletions(instance):
+                plain, pruned = plain_and_pruned(monkeypatch, each)
+                assert answer(pruned) == answer(plain)
 
     def test_random_grid_rows(self, monkeypatch):
         plain_nodes = pruned_nodes = compared = 0
@@ -358,17 +354,16 @@ class TestEdgeFilter:
     def test_same_solutions_as_the_full_search(self):
         compared = 0
         for instance in candidates():
-            for blocked in blockings(instance):
-                for spanning in (False, True):
-                    for order, pair_order in ORDERS:
-                        for mode, cap in MODES:
-                            settings = dict(mode=mode, cap=cap, require_spanning=spanning,
-                                            blocked=blocked, order=order,
-                                            pair_order=pair_order)
-                            assert answers(solve(instance, **settings)) == answers(
-                                solve(stripped(instance), **settings))
-                            compared += 1
-        assert compared == 1872
+            runs = [(each, False) for each in deletions(instance)] + [(instance, True)]
+            for each, spanning in runs:
+                for order, pair_order in ORDERS:
+                    for mode, cap in MODES:
+                        settings = dict(mode=mode, cap=cap, require_spanning=spanning,
+                                        order=order, pair_order=pair_order)
+                        assert answers(solve(each, **settings)) == answers(
+                            solve(stripped(each), **settings))
+                        compared += 1
+        assert compared == 1008
 
     def test_state_cap_falls_back_to_the_full_search(self, monkeypatch):
         monkeypatch.setattr(frontier, "MAX_STATES", 2)
@@ -395,9 +390,10 @@ class TestEdgeFilter:
 
 def test_irrelevant_row_equals_the_sweep():
     # The count decides the row without deleting anything; it must say
-    # what the deletion sweep says, at every count seen.
+    # what the deletion sweep says, at every count seen and on the
+    # calibrated k = 3 instance.
     counts = set()
-    for instance in candidates():
+    for instance in [*candidates(), build_instance(3)]:
         counts.add(count_linkages(instance).count)
         report = irrelevant_vertices(instance)
         assert verify_instance(instance)[-1] == (

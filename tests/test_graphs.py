@@ -177,14 +177,12 @@ class TestCrossingCount:
         assert report.per_path == (0, 1)
         assert report.total == 1
         assert report.undefined_paths == frozenset()
-        assert report.all_defined()
 
     def test_report_flags_undefined(self):
         _, layout = make_grid(3, 3)
         report = crossing_report([(4, 5)], layout)
         assert report.per_path == (None,)
         assert report.undefined_paths == frozenset({0})
-        assert not report.all_defined()
 
 
 class TestCrossingOracle:

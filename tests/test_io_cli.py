@@ -177,10 +177,10 @@ class TestSolutionDocuments:
     def test_linkage_reconstruction(self):
         inst, out = self.fixture_pair()
         doc = parse_solution(serialize_solution(inst, out, "enumerate"))
-        link = solution_paths(inst, doc, index=3)
-        assert link == out.solutions[3]
-        with pytest.raises(ValueError):
-            solution_paths(inst, doc, index=7)
+        assert solution_paths(inst, doc) == out.solutions[0]
+        doc["solutions"] = []
+        with pytest.raises(ValueError, match="records 0 solutions"):
+            solution_paths(inst, doc)
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("solutions"),

@@ -11,6 +11,7 @@ the batch's node total and a digest of its solutions apart, so a drop
 in nodes cannot hide a change of solutions behind a new digest.
 """
 
+import dataclasses
 import hashlib
 import random
 
@@ -297,8 +298,8 @@ def test_split_batch_matches_oracle(family):
 # Three and four pairs, so that most nodes have pending pairs whose
 # joinability a move may or may not change: a move re-tests a pending
 # pair only when it enters a neighbor of that pair's terminals, splits
-# its component or enters a component not labelled yet.  With blocked,
-# one to three random non-terminals are blocked.
+# its component or enters a component not labelled yet.  A cut run
+# deletes the edges of one to three random non-terminals.
 
 
 def _sparse_graph(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
@@ -311,8 +312,8 @@ def _sparse_graph(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _pending_batch(family: str) -> list[tuple[Instance, tuple[int, ...], str, str]]:
-    """60 seeded instances of one family, each with a blocked set and an
-    order setting.  Grid terminals sit on the border."""
+    """60 seeded instances of one family, each with a set of vertices to
+    cut and an order setting.  Grid terminals sit on the border."""
     rng = random.Random(f"pending/{family}")
     batch = []
     for i in range(60):
@@ -334,62 +335,49 @@ def _pending_batch(family: str) -> list[tuple[Instance, tuple[int, ...], str, st
         terminals = rng.sample(ends, 2 * k)
         pairs = [(terminals[2 * j], terminals[2 * j + 1]) for j in range(k)]
         others = sorted(set(range(n)) - set(terminals))
-        blocked = tuple(sorted(rng.sample(others, rng.randint(1, 3))))
+        cut = tuple(sorted(rng.sample(others, rng.randint(1, 3))))
         order = ("ascending", "min-degree")[i % 2]
         pair_order = ("input", "auto")[i // 2 % 2]
         batch.append(
-            (Instance.make(Graph.from_edges(n, edges), pairs), blocked, order, pair_order)
+            (Instance.make(Graph.from_edges(n, edges), pairs), cut, order, pair_order)
         )
     return batch
 
 
-# first-pinned name: (family, require_spanning, with blocked, mode,
-#  total nodes_explored, digest of the per-instance solution digests),
-#  named and split as SPLIT_PINNED is.
+def _cut(instance: Instance, vertices: tuple[int, ...]) -> Instance:
+    """instance with the edges of vertices deleted."""
+    graph = instance.graph
+    edges = frozenset(e for e in graph.edges if set(vertices).isdisjoint(e))
+    return dataclasses.replace(instance, graph=dataclasses.replace(graph, edges=edges))
+
+
+# name: (family, require_spanning, cut, mode, total nodes_explored,
+#  digest of the per-instance solution digests).  A spanning run cuts
+#  nothing: a vertex without edges leaves no spanning solution.
 PENDING_PINNED = {
-    "grid-False-False-decide-6012-21fd8ef5efa13c6f":
-        ("grid", False, False, "decide", 5996, "fc8ff442f141c323"),
-    "grid-False-False-enumerate_all-23804-abd2c34f037a3c08":
-        ("grid", False, False, "enumerate_all", 12257, "4c41aac8b0e2da23"),
-    "grid-False-True-decide-924-f611e4c669f345a7":
-        ("grid", False, True, "decide", 924, "8211c407b3cf1c21"),
-    "grid-False-True-enumerate_all-2871-9621a82f779e851c":
-        ("grid", False, True, "enumerate_all", 2056, "728b315e032ccf0a"),
-    "grid-True-False-decide-2540-3f6725bb19962f29":
-        ("grid", True, False, "decide", 2540, "8e11ce1360b587ef"),
-    "grid-True-False-enumerate_all-3227-e10cd0ac198ca7c3":
-        ("grid", True, False, "enumerate_all", 3227, "7e894fcb37f773e2"),
-    "grid-True-True-decide-414-8d62ee5a43e1193c":
-        ("grid", True, True, "decide", 414, "7c0292bcc7863a39"),
-    "grid-True-True-enumerate_all-414-8d62ee5a43e1193c":
-        ("grid", True, True, "enumerate_all", 414, "7c0292bcc7863a39"),
-    "sparse-False-False-decide-288-b0ed5723ddc3059f":
-        ("sparse", False, False, "decide", 288, "db81b8598b6234da"),
-    "sparse-False-False-enumerate_all-876-c1f1176e83813862":
-        ("sparse", False, False, "enumerate_all", 698, "ebe7be66c8340570"),
-    "sparse-False-True-decide-135-8241fd10ca94721e":
-        ("sparse", False, True, "decide", 135, "0555c5cfc2fdd50d"),
-    "sparse-False-True-enumerate_all-271-7c589943bc140a97":
+    "grid-nospan-decide": ("grid", False, False, "decide", 5996, "fc8ff442f141c323"),
+    "grid-nospan-enumerate": ("grid", False, False, "enumerate_all", 12257, "4c41aac8b0e2da23"),
+    "grid-nospan-cut-decide": ("grid", False, True, "decide", 924, "8211c407b3cf1c21"),
+    "grid-nospan-cut-enumerate": ("grid", False, True, "enumerate_all", 2056, "728b315e032ccf0a"),
+    "grid-span-decide": ("grid", True, False, "decide", 2540, "8e11ce1360b587ef"),
+    "grid-span-enumerate": ("grid", True, False, "enumerate_all", 3227, "7e894fcb37f773e2"),
+    "sparse-nospan-decide": ("sparse", False, False, "decide", 288, "db81b8598b6234da"),
+    "sparse-nospan-enumerate": ("sparse", False, False, "enumerate_all", 698, "ebe7be66c8340570"),
+    "sparse-nospan-cut-decide": ("sparse", False, True, "decide", 135, "0555c5cfc2fdd50d"),
+    "sparse-nospan-cut-enumerate":
         ("sparse", False, True, "enumerate_all", 216, "718251baeaf290d7"),
-    "sparse-True-False-decide-151-f9feaffc5950d86c":
-        ("sparse", True, False, "decide", 151, "46c247916e72fe48"),
-    "sparse-True-False-enumerate_all-159-2bc26e1749fbfd1e":
-        ("sparse", True, False, "enumerate_all", 159, "46c247916e72fe48"),
-    "sparse-True-True-decide-110-b037610b21144565":
-        ("sparse", True, True, "decide", 110, "7c0292bcc7863a39"),
-    "sparse-True-True-enumerate_all-110-b037610b21144565":
-        ("sparse", True, True, "enumerate_all", 110, "7c0292bcc7863a39"),
+    "sparse-span-decide": ("sparse", True, False, "decide", 151, "46c247916e72fe48"),
+    "sparse-span-enumerate": ("sparse", True, False, "enumerate_all", 159, "46c247916e72fe48"),
 }
 
 
-@pytest.mark.parametrize("family,spanning,with_blocked,mode,nodes,digest",
+@pytest.mark.parametrize("family,spanning,cut,mode,nodes,digest",
                          list(PENDING_PINNED.values()), ids=list(PENDING_PINNED))
-def test_pending_batch_pinned(family, spanning, with_blocked, mode, nodes, digest):
+def test_pending_batch_pinned(family, spanning, cut, mode, nodes, digest):
     total, digests = 0, []
-    for instance, blocked, order, pair_order in _pending_batch(family):
-        out = solve(instance, mode=mode, require_spanning=spanning,
-                    blocked=blocked if with_blocked else (),
-                    order=order, pair_order=pair_order)
+    for instance, vertices, order, pair_order in _pending_batch(family):
+        out = solve(_cut(instance, vertices) if cut else instance, mode=mode,
+                    require_spanning=spanning, order=order, pair_order=pair_order)
         total += out.nodes_explored
         digests.append(_digest(out))
     assert (total, _batch_digest(digests)) == (nodes, digest)

@@ -190,64 +190,6 @@ class TestKnobNeutrality:
             solve(two_pair, pair_order="longest")
 
 
-class TestBlockedVertices:
-    def test_blocking_preserves_unsolvability(self, grid3):
-        graph, layout = grid3
-        inst = Instance.make(graph, [(0, 8), (2, 6)], layout)
-        assert solve(inst).status == STATUS_UNSOLVABLE
-        for v in (1, 3, 4, 5, 7):
-            assert solve(inst, blocked=[v]).status == STATUS_UNSOLVABLE
-
-    def test_blocking_can_break_solvability(self, grid3):
-        graph, layout = grid3
-        inst = Instance.make(graph, [(3, 5)], layout)
-        assert solve(inst).status == STATUS_SOLVABLE
-        # cutting the middle row and the detours through rows 1 and 3
-        assert solve(inst, blocked=[4, 1, 7]).status == STATUS_UNSOLVABLE
-
-    def test_blocked_terminal_rejected(self, two_pair):
-        with pytest.raises(ValueError):
-            solve(two_pair, blocked=[0])
-
-    def test_blocked_solutions_avoid_vertex(self, two_pair):
-        # only the pure border routing survives without the center
-        out = solve(two_pair, mode="enumerate_all", blocked=[4])
-        assert tuple(s.paths for s in out.solutions) == (((0, 1, 2), (6, 7, 8)),)
-
-    def test_spanning_covers_what_is_not_blocked(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        out = solve(Instance.make(g, [(0, 2)]), require_spanning=True, blocked=(3,))
-        assert [s.paths for s in out.solutions] == [((0, 1, 2),)]
-
-    def test_spanning_with_blocked_matches_oracle_on_the_rest(self):
-        # Blocking B must act as deleting it: compare with the oracle on
-        # G - B, relabelled in ascending order so solution order carries.
-        rng = random.Random(7)
-        solvable = 0
-        for inst in random_batch(20261018, 300, max_vertices=9):
-            n = inst.graph.vertex_count
-            terminals = {v for pair in inst.pairs for v in pair}
-            others = [v for v in range(n) if v not in terminals]
-            blocked = rng.sample(others, rng.randint(0, min(2, len(others))))
-            keep = [v for v in range(n) if v not in blocked]
-            new_id = {v: i for i, v in enumerate(keep)}
-            rest = Instance.make(
-                Graph.from_edges(len(keep), [
-                    (new_id[u], new_id[v]) for u, v in inst.graph.edges
-                    if u in new_id and v in new_id
-                ]),
-                [(new_id[s], new_id[t]) for s, t in inst.pairs],
-            )
-            got = solve(inst, mode="enumerate_all", require_spanning=True, blocked=blocked)
-            want = brute_force_oracle(rest, require_spanning=True)
-            assert got.status == want.status
-            assert [s.paths for s in got.solutions] == [
-                tuple(tuple(keep[v] for v in p) for p in s.paths) for s in want.solutions
-            ]
-            solvable += blocked != [] and got.status == STATUS_SOLVABLE
-        assert solvable >= 10
-
-
 class TestBudgets:
     def test_abort_status_is_honest(self, two_pair):
         out = solve(two_pair, mode="enumerate_all", max_nodes=3)
