@@ -2,7 +2,9 @@
 
 The solver and the width searches both work on these bitsets, starting
 from a graph's neighbor sets (Graph.masks); this module holds the few
-helpers they use.
+helpers they use: bit iteration, component flooding, and the split of a
+connected set that lost one vertex, which floods only until it knows
+the pieces.
 """
 
 from __future__ import annotations
@@ -50,37 +52,19 @@ def split_components(adj: list[int], within: int, ends: int) -> list[int]:
     """Components of within, given that every one of them meets ends.
 
     This holds when within is a connected set less one vertex and ends
-    (not empty) are that vertex's neighbors in it.  First a local test:
-    if the ends are linked through their own closed neighborhoods in
-    within (two ends are linked when those overlap), within is still
-    connected; a single end always is.  Otherwise flood from the linked
-    ends and stop once the flood holds every open end; a flood that runs
-    dry first is a whole component, peeled off before the next one,
-    which floods from the lowest open end.
+    (not empty) are that vertex's neighbors in it.  While two or more
+    ends are open, flood from the lowest one: a flood that reaches every
+    other open end leaves within whole, and one that runs dry first is a
+    component, peeled off.  What is left holds the last open end and is
+    the last component.  Components come back ordered by their lowest
+    end, as components(adj, within, ends) returns them.
     """
-    low = ends & -ends
-    reach = adj[low.bit_length() - 1] & within | low
-    open_ends = ends ^ low
-    grew = True
-    while open_ends and grew:
-        grew = False
-        m = open_ends
-        while m:
-            low = m & -m
-            m ^= low
-            near = adj[low.bit_length() - 1] & within | low
-            if near & reach:
-                reach |= near
-                open_ends ^= low
-                grew = True
-    if not open_ends:
-        return [within]
-    # reach is connected and holds the linked ends: flood on from it.
     found: list[int] = []
-    frontier = reach
-    rest = within ^ reach
-    while True:
-        while frontier and open_ends:
+    while ends & (ends - 1):
+        frontier = ends & -ends
+        rest = within ^ frontier
+        ends ^= frontier
+        while frontier and ends:
             grow = 0
             while frontier:
                 low = frontier & -frontier
@@ -88,15 +72,10 @@ def split_components(adj: list[int], within: int, ends: int) -> list[int]:
                 frontier ^= low
             frontier = grow & rest
             rest ^= frontier
-            open_ends &= rest
-        if not open_ends:
-            found.append(within)
-            return found
+            ends &= rest
+        if not ends:
+            break
         found.append(within ^ rest)
         within = rest
-        if not open_ends & (open_ends - 1):
-            found.append(within)
-            return found
-        frontier = open_ends & -open_ends
-        rest = within ^ frontier
-        open_ends ^= frontier
+    found.append(within)
+    return found

@@ -182,7 +182,7 @@ def solution_paths(instance: Instance, doc: dict) -> Linkage:
     if not isinstance(recorded, list):
         raise ValueError("solution document has no 'solutions' list")
     if not recorded:
-        raise ValueError("document records 0 solutions, index 0 out of range")
+        raise ValueError("document records no solution")
     entry = recorded[0]
     if not isinstance(entry, list) or not all(
         isinstance(path, list) and all(type(v) is int for v in path)

@@ -16,9 +16,9 @@ question from component labels.  It inherits them from its parent:
 a child's free set is the parent's less the vertex v the path moved to
 (or the same set, when a pair closes), so only the component C holding
 v changes, to C - v.  C - v is known to be connected when v has one
-neighbor in it, or when v's neighbors in it are linked through their
-own neighborhoods; otherwise a flood from those neighbors stops once it
-holds them all, or runs dry and so finds a piece that split off.  A
+neighbor in it; otherwise a flood from the lowest of those neighbors
+stops once it holds them all, or runs dry and so finds a piece that
+split off, and the next flood starts from the lowest neighbor left.  A
 component no label covers yet is flooded when a prune first asks about
 it.  The tests themselves are inherited too: a node re-tests only the
 pairs and the free vertices its move can have affected.
@@ -323,10 +323,9 @@ def solve(
     with one pair left and no spanning test floods from the head only
     until it touches t.  Every other node starts from the component
     labels of its parent and updates only the component the path
-    entered; a split is found by a local test around the entered
-    vertex, or else by a flood from its neighbors that runs dry before
-    it reaches them all.  The search keeps its own stack, so long paths
-    do not hit the recursion limit.
+    entered; a split is found by a flood from a neighbor of the entered
+    vertex that runs dry before it reaches the others.  The search keeps
+    its own stack, so long paths do not hit the recursion limit.
 
     A node re-tests only what its move can have changed, since its
     parent passed every test.  After a step to v the current pair is
@@ -888,16 +887,6 @@ def brute_force_oracle(instance: Instance, require_spanning: bool = False) -> So
 
 def spans_all_vertices(linkage: Linkage) -> bool:
     return len(linkage.vertices()) == linkage.host.vertex_count
-
-
-def pairing_of(linkage: Linkage) -> frozenset[tuple[int, int]]:
-    """Component endpoints as unordered pairs; components need >= 2 vertices."""
-    pairs: set[tuple[int, int]] = set()
-    for path in linkage.paths:
-        if len(path) < 2:
-            raise ValueError("linkage components must have at least two vertices")
-        pairs.add((path[0], path[-1]) if path[0] < path[-1] else (path[-1], path[0]))
-    return frozenset(pairs)
 
 
 @dataclass(frozen=True)

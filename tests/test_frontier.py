@@ -104,6 +104,38 @@ def assert_matches_enumeration(instance, require_spanning=False):
     return result
 
 
+# (count, nodes, peak_states) of every k = 3 and k = 4 candidate that
+# builds, by (k, arc rule, s0 placement, require_spanning).  Only
+# pow2 / bottom-left has one linkage, and the two k = 4 top-right
+# counts of 2,356,779 linkages are the largest here.
+CANDIDATE_COUNTS = {
+    (3, "pow2-minus-1", "top-right", False): (835, 1221, 17),
+    (3, "pow2-minus-1", "top-right", True): (0, 404, 5),
+    (3, "pow2", "top-right", False): (835, 1414, 18),
+    (3, "pow2", "top-right", True): (0, 471, 7),
+    (3, "pow2-minus-1", "bottom-right", False): (0, 1175, 17),
+    (3, "pow2-minus-1", "bottom-right", True): (0, 398, 5),
+    (3, "pow2", "bottom-right", False): (323, 1223, 18),
+    (3, "pow2", "bottom-right", True): (14, 428, 7),
+    (3, "pow2-minus-1", "bottom-left", False): (0, 134, 3),
+    (3, "pow2-minus-1", "bottom-left", True): (0, 134, 3),
+    (3, "pow2", "bottom-left", False): (1, 167, 9),
+    (3, "pow2", "bottom-left", True): (1, 164, 7),
+    (4, "pow2-minus-1", "top-right", False): (2_356_779, 9566, 270),
+    (4, "pow2-minus-1", "top-right", True): (0, 2834, 73),
+    (4, "pow2", "top-right", False): (2_356_779, 33_196, 9602),
+    (4, "pow2", "top-right", True): (0, 6445, 1030),
+    (4, "pow2-minus-1", "bottom-right", False): (0, 9411, 270),
+    (4, "pow2-minus-1", "bottom-right", True): (0, 2820, 73),
+    (4, "pow2", "bottom-right", False): (853_467, 30_912, 9602),
+    (4, "pow2", "bottom-right", True): (1430, 5869, 1030),
+    (4, "pow2-minus-1", "bottom-left", False): (0, 822, 135),
+    (4, "pow2-minus-1", "bottom-left", True): (0, 724, 73),
+    (4, "pow2", "bottom-left", False): (1, 11_620, 4801),
+    (4, "pow2", "bottom-left", True): (1, 3773, 1030),
+}
+
+
 class TestCounts:
     def test_every_candidate_at_k_up_to_2(self):
         built = list(candidates())
@@ -130,6 +162,16 @@ class TestCounts:
         for pairs in ([(0, 1)], [(0, 2)], []):
             for spanning in (False, True):
                 assert_matches_enumeration(Instance.make(graph, pairs), spanning)
+
+    def test_every_candidate_at_k3_and_k4_pinned(self):
+        got = {}
+        for instance in candidates((3, 4)):
+            meta = dict(instance.meta)
+            for spanning in (False, True):
+                result = count_linkages(instance, require_spanning=spanning)
+                key = (meta["k"], meta["arc_rule"], meta["s0_placement"], spanning)
+                got[key] = (result.count, result.nodes, result.peak_states)
+        assert got == CANDIDATE_COUNTS
 
     def test_k3_has_one_linkage(self):
         instance = build_instance(3, s0_placement=S0_BOTTOM_LEFT)
@@ -262,8 +304,7 @@ class TestPrunes:
         assert (plain_nodes, pruned_nodes) == (1_031_057, 8_719)
         assert compared == 24 + 6
 
-    def test_blocked_vertices(self, monkeypatch):
-        # A vertex is blocked by deleting its edges.
+    def test_deleted_vertices(self, monkeypatch):
         for instance in candidates():
             for each in deletions(instance):
                 plain, pruned = plain_and_pruned(monkeypatch, each)

@@ -243,28 +243,26 @@ def _split_batch(family: str) -> list[tuple[Instance, str, str]]:
     return batch
 
 
-# first-pinned name: (family, require_spanning, mode, total
-#  nodes_explored, digest of the per-instance solution digests).  The
-#  node total and the solutions are pinned apart, so that a drop in
-#  nodes leaves the solution digest as it was.  A name holds the numbers
-#  of the row's first pin, which digested the per-instance node counts
-#  and solutions together; it stays fixed when the row is re-pinned.
+# name: (family, require_spanning, mode, total nodes_explored, digest
+#  of the per-instance solution digests).  The node total and the
+#  solutions are pinned apart, so that a drop in nodes leaves the
+#  solution digest as it was.
 SPLIT_PINNED = {
-    "tree-False-decide-1725-56be01dd0c16ecda":
+    "tree-nospan-decide":
         ("tree", False, "decide", 1713, "7658865df3d1e00b"),
-    "tree-False-enumerate_all-3349-41fec1d71e13e826":
+    "tree-nospan-enumerate":
         ("tree", False, "enumerate_all", 3223, "67e141ff46c82423"),
-    "tree-True-decide-330-2822a4c43dcc2066":
+    "tree-span-decide":
         ("tree", True, "decide", 330, "92894dc3f181e67d"),
-    "tree-True-enumerate_all-330-2822a4c43dcc2066":
+    "tree-span-enumerate":
         ("tree", True, "enumerate_all", 330, "92894dc3f181e67d"),
-    "grid-False-decide-1402-ec245fcf94420ca7":
+    "grid-nospan-decide":
         ("grid", False, "decide", 1402, "659c196faf04c372"),
-    "grid-False-enumerate_all-105532-e2386517d57b70c9":
+    "grid-nospan-enumerate":
         ("grid", False, "enumerate_all", 25530, "c997584519b747d8"),
-    "grid-True-decide-2885-51eded59daf875cd":
+    "grid-span-decide":
         ("grid", True, "decide", 2885, "a9510df6f2314697"),
-    "grid-True-enumerate_all-3605-dbcaede5d40aa0ac":
+    "grid-span-enumerate":
         ("grid", True, "enumerate_all", 3605, "e84a346c257d7090"),
 }
 

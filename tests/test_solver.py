@@ -28,7 +28,6 @@ from gridlinkage import (
     irrelevant_vertices,
     is_vital_linkage,
     make_grid,
-    pairing_of,
     random_batch,
     solve,
     spans_all_vertices,
@@ -378,16 +377,6 @@ class TestUniqueness:
 
 
 class TestPatternAndPairing:
-    def test_examples(self):
-        c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        link = Linkage(((0, 1), (3, 2)), c4)
-        assert pairing_of(link) == frozenset({(0, 1), (2, 3)})
-
-    def test_empty_linkage(self, grid3):
-        graph, _ = grid3
-        link = Linkage((), graph)
-        assert pairing_of(link) == frozenset()
-
     def test_canonical_key(self, two_pair):
         # Reversing a path or permuting the paths keeps the key, and
         # the seven distinct linkages of two_pair get seven keys.
@@ -435,7 +424,9 @@ class TestVitalLinkage:
         assert is_vital_linkage(inst.graph, sol)
         rival = Linkage(((0, 3), (6, 7, 4, 1, 2, 8, 5)), inst.graph)
         assert spans_all_vertices(rival)
-        assert pairing_of(rival) != pairing_of(sol)
+        def ends(linkage):
+            return {frozenset((path[0], path[-1])) for path in linkage.paths}
+        assert ends(rival) != ends(sol)
 
     def test_non_spanning_rival_counts(self):
         # The edge (0, 2) links the same pair without vertex 1.
