@@ -47,27 +47,28 @@ neither, stays the independent reference.
 
 - Degree: under require_spanning a non-terminal still at degree 0
   with one undecided edge left can never reach degree 2.
-- Non-crossing completion.  The test runs at a step where the layout
-  draws the graph without crossings (lattice edges, and nested arcs
-  outside the border), the frontier has at most one vertex per row,
-  and every undecided edge at a frontier vertex is a unit lattice
-  edge; a bypass arc with one endpoint entered turns it off.  A curve
-  through the frontier vertices in row order, closed around the
-  decided part, then bounds a disc that holds every undecided vertex
-  and edge, since the arcs still to come lie outside the border beyond
-  the frontier's columns.  Disjoint paths inside a disc that join
-  points of its boundary cannot cross (Robertson and Seymour, "Graph
-  Minors VI. Disjoint paths across a disc", 1986; the connectivity
-  rule of transfer matrices, Jacobsen, J. Phys. A 40, 2007).  So the
-  test reads a state's open ends top to bottom: a terminal at degree
-  0 is an end with its pair label, an end of a fragment carries its
-  label or its mate, and a non-terminal at degree 0 is no end.  A
-  terminal still to come may sit anywhere in the disc, so an end may
-  run to it freely, one end per such terminal.  The state survives
-  when the other ends pair up in a nested matching that, glued to the
-  fragments already built, joins each pair's two terminals and closes
-  no cycle.  The verdict depends only on the ends and the terminals
-  still to come, so it is cached on them for the run.
+- Non-crossing completion.  The test checks every new state at each
+  step where the layout draws the graph without crossings (lattice
+  edges, and nested arcs outside the border), the frontier has at most
+  one vertex per row, and every undecided edge at a frontier vertex is
+  a unit lattice edge; a bypass arc with one endpoint entered turns it
+  off.  A curve through the frontier vertices in row order, closed
+  around the decided part, then bounds a disc that holds every
+  undecided vertex and edge, since the arcs still to come lie outside
+  the border beyond the frontier's columns.  Disjoint paths inside a
+  disc that join points of its boundary cannot cross (Robertson and
+  Seymour, "Graph Minors VI. Disjoint paths across a disc", 1986; the
+  connectivity rule of transfer matrices, Jacobsen, J. Phys. A 40,
+  2007).  So the test reads a state's open ends top to bottom: a
+  terminal at degree 0 is an end with its pair label, an end of a
+  fragment carries its label or its mate, and a non-terminal at degree
+  0 is no end.  A terminal still to come may sit anywhere in the disc,
+  so an end may run to it freely, one end per such terminal.  The
+  state survives when the other ends pair up in a nested matching
+  that, glued to the fragments already built, joins each pair's two
+  terminals and closes no cycle.  The verdict depends only on the ends
+  and the terminals still to come, so it is cached on them for the
+  run.
 
 A pruned state has no completion, and every state a completion passes
 through has one, so no count or merged set changes: only nodes and
@@ -106,8 +107,9 @@ MAX_STATES = 100_000
 # Layouts with fewer rows are counted without the prunes.  Their
 # frontier holds at most six vertices, so a count expands a few hundred
 # states at most, and setting the prunes up costs more than they save:
-# about as much again as the whole count on the k = 1 and k = 2
-# instances, where they remove no state without require_spanning.
+# with the gate off the k = 1 and k = 2 counts take 151 and 340 us
+# against 79 and 189, at the same 13 and 43 nodes, and
+# calibrate_arc_rule(2) 5.3 ms against 3.2 (Python 3.11, 2-core x86).
 PRUNE_MIN_ROWS = 6
 
 # The slot values of a state; a value below DONE is a pair label
@@ -159,10 +161,9 @@ _Check = tuple[tuple[int, ...], tuple[tuple[int, int], ...] | None,
 # two vertices as a bitmask, the slots of u and v, their labels (the
 # pair label of a terminal, _FREE for any other vertex), the vertices
 # whose last edge it is, as (slot, may leave with degree 0), and the
-# prunes for the states whose open ends are those of the state they
-# came from and for the others, each None when none applies.
+# step's prunes, None when none applies.
 _Step = tuple[tuple[int, int], int, int, int, int, int, int, tuple[tuple[int, bool], ...],
-              _Check | None, _Check | None]
+              _Check | None]
 
 
 def _order(instance: Instance, deadline: float) -> list[int]:
@@ -189,11 +190,8 @@ def _schedule(
 
     On a layout of at least PRUNE_MIN_ROWS rows each step also carries
     its prunes (see the module docstring): under require_spanning the
-    non-terminals the step leaves with one undecided edge, and, where
-    is_planar_certificate passes, the frontier has at most one vertex
-    per row and every undecided edge at it is a lattice edge (as
-    GridLayout.arc_side draws it), the frontier in row order for the
-    non-crossing test.
+    non-terminals it leaves with one undecided edge, and the frontier
+    in row order wherever the non-crossing test applies.
     """
     graph = instance.graph
     n = graph.vertex_count
@@ -238,15 +236,6 @@ def _schedule(
             if label[v]:
                 to_come[label[v]] = to_come.get(label[v], 0) + 1
         wild = tuple(sorted(to_come.items()))
-    # Whether the states of the last step passed the non-crossing test
-    # and no terminal has entered since.  A state that then leaves out
-    # the next edge, or takes it to extend one end, has the ends of the
-    # state it came from in the same row order, and passes as well: a
-    # unit edge moves an end within its row or to the next row, past no
-    # other frontier vertex.  (Extending an end along an arc could move
-    # it past others, but an arc is decided only after a step at which
-    # it was pending, which ran no test.)
-    tested = False
     for v in order:
         if not adjacency[v]:
             continue
@@ -266,7 +255,6 @@ def _schedule(
             if label[v]:
                 to_come[label[v]] -= 1
                 wild = tuple(sorted((x, k) for x, k in to_come.items() if k))
-                tested = False
         back = sorted((position[u], u) for u in adjacency[v] if position[u] < position[v])
         gone_here: list[int] = []
         for j, (_, u) in enumerate(back):
@@ -274,7 +262,7 @@ def _schedule(
             if j == len(back) - 1 and last[v] < position[v]:
                 gone.append(v)
             edge = (u, v) if u < v else (v, u)
-            same_check = new_check = None
+            check = None
             if pruned:
                 thin = ()
                 if require_spanning:
@@ -296,14 +284,12 @@ def _schedule(
                         # Top to bottom; an empty frontier has nothing to test.
                         rows = tuple(map(slot_label.__getitem__,
                                          itertools.chain.from_iterable(reversed(by_row)))) or None
-                degree_only = (thin, None, wild) if thin else None
-                new_check = (thin, rows, wild) if rows else degree_only
-                same_check = degree_only if tested else new_check
-                tested = rows is not None
+                if thin or rows:
+                    check = (thin, rows, wild)
             steps.append((edge, 1 << len(steps), 1 << u | 1 << v,
                           slot[u], slot[v], label[u], label[v],
                           tuple((slot[w], not must_use[w]) for w in gone),
-                          same_check, new_check))
+                          check))
             gone_here.extend(gone)
         # Highest first, so pop() hands out the lowest free slot.
         free_slots.extend(slot[w] for w in gone_here)
@@ -355,7 +341,7 @@ def count_linkages(
     # Non-crossing verdicts by the ends read, for the whole run.
     verdicts: dict[tuple, bool] = {}
     try:
-        for _, step_bit, bits, a, b, la, lb, leaving, same_check, new_check in steps:
+        for _, step_bit, bits, a, b, la, lb, leaving, check in steps:
             if time.monotonic() > deadline:
                 raise _Abort("seconds")
             if nodes + len(counts) > max_nodes:
@@ -375,7 +361,7 @@ def count_linkages(
                 if child is not None:
                     entry = get(child)
                     if entry is None:
-                        if same_check is None or _alive(child, same_check, verdicts):
+                        if check is None or _alive(child, check, verdicts):
                             next_counts[child] = [c, used, some]
                     else:
                         entry[0] += c
@@ -418,11 +404,7 @@ def count_linkages(
                     used |= bits
                     some |= step_bit
                     if entry is None:
-                        # Extending one end keeps the ends; joining two
-                        # or opening a fragment changes them.
-                        if new_check is None or _alive(
-                                child, same_check if (x == _FREE) != (y == _FREE) else new_check,
-                                verdicts):
+                        if check is None or _alive(child, check, verdicts):
                             next_counts[child] = [c, used, some]
                     else:
                         entry[0] += c
@@ -445,10 +427,8 @@ def count_linkages(
                         frozenset(iter_bits(used)), used_by_some, nodes, peak)
 
 
-def _alive(state: tuple[int, ...], check: _Check | None, verdicts: dict[tuple, bool]) -> bool:
-    """Whether state survives the step's prunes (None: no prune)."""
-    if check is None:
-        return True
+def _alive(state: tuple[int, ...], check: _Check, verdicts: dict[tuple, bool]) -> bool:
+    """Whether state survives the step's prunes."""
     thin, rows, wild = check
     for j in thin:
         if state[j] == _FREE:

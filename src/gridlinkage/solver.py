@@ -69,6 +69,15 @@ DEFAULT_TIME_BUDGET = 600.0
 # these keys; at 1024 neither did, and 5x5 / 5x6 enumeration kept most
 # of the gain.
 MEMO_MIN_NODES = 1024
+# The region memo stops storing keys once it holds this many, and goes
+# on looking up the ones it holds.  A key left out only means that its
+# subtree is searched again, so no answer changes, and memory stays
+# bounded whatever the budgets say.  Past MEMO_MIN_NODES a search stores
+# about one key per node, at about 160 bytes with its entry on the k = 4
+# graph: a capped solve of the k = 4 top-right instance held 157 MB of
+# memo after 1 M nodes, and with this bound peaks near 100 MB, like the
+# count's MAX_STATES.
+MEMO_MAX_KEYS = 500_000
 
 STATUS_SOLVABLE = "solvable"
 STATUS_UNSOLVABLE = "unsolvable"
@@ -385,8 +394,9 @@ def solve(
     once the search has entered MEMO_MIN_NODES nodes, since on smaller
     searches a key costs more than the nodes its hits save.
     nodes_explored counts only the nodes searched, so it drops; the
-    memo lives for one call.  A spanning search keeps no memo: its key
-    would be the whole free set, which rarely repeats.
+    memo lives for one call and stores at most MEMO_MAX_KEYS keys.  A
+    spanning search keeps no memo: its key would be the whole free set,
+    which rarely repeats.
     """
     if mode == "decide":
         cap = 1
@@ -701,7 +711,7 @@ def solve(
                         # it emitted, then undo its move.
                         stack.pop()
                         path = route[-1]
-                        if opened is not None:
+                        if opened is not None and len(memo) < MEMO_MAX_KEYS:
                             key, first = opened
                             end = len(found)
                             if end > first:

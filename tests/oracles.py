@@ -2,8 +2,9 @@
 
 Nothing here imports solver internals: crossing counts come from split
 enumeration over path indices, widths from trying whole vertex orders,
-and the graph family is rebuilt from scratch with its own canonical
-form.  Known sequence values (connected graphs up to isomorphism:
+the frontier DP's completion verdicts from every non-crossing partial
+matching of the ends, and the graph family is rebuilt from scratch with
+its own canonical form.  Known sequence values (connected graphs up to isomorphism:
 1, 1, 2, 6, 21, 112, 853) pin the generator itself.
 """
 
@@ -239,3 +240,75 @@ def all_simple_paths_with_border_ends(
         if start in inner:
             continue
         yield from extend([start], {start})
+
+
+def _partial_matchings(points: list[int]):
+    """Every non-crossing partial matching of points, in order, as
+    (matched pairs, unmatched points): the Motzkin recursion, where the
+    first point is unmatched or matched to some later j, and the points
+    inside and outside (first, j) are matched apart."""
+    if not points:
+        yield [], []
+        return
+    first, rest = points[0], points[1:]
+    for pairs, single in _partial_matchings(rest):
+        yield pairs, [first, *single]
+    for k, j in enumerate(rest):
+        for inner, inner_single in _partial_matchings(rest[:k]):
+            for outer, outer_single in _partial_matchings(rest[k + 1:]):
+                yield [(first, j), *inner, *outer], inner_single + outer_single
+
+
+def _hand_out(single: list[int], left: dict[int, int]):
+    """Every way to give each point of single its own terminal still to
+    come, as a list of labels; left counts the terminals per label."""
+    if not single:
+        yield []
+        return
+    for label, count in left.items():
+        if count:
+            left[label] = count - 1
+            for rest in _hand_out(single[1:], left):
+                yield [label, *rest]
+            left[label] = count
+
+
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def completable_oracle(ends: tuple[int, ...], wild: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the open ends of a frontier state can be completed inside
+    the disc, by brute force and without a memo.
+
+    Each end is a pair label (negative) or the index of the other end of
+    its fragment; wild holds (label, how many) terminals still to come.
+    Some non-crossing partial matching of the ends must, with each
+    unmatched end run to a terminal still to come of its own, form no
+    cycle with the fragments, and every resulting path must end at two
+    terminals of one label.  A terminal still to come may stay unused.
+    """
+    n = len(ends)
+    fragments = [(i, m) for i, m in enumerate(ends) if m > i]
+    labelled = [(i, m) for i, m in enumerate(ends) if m < 0]
+    for pairs, single in _partial_matchings(list(range(n))):
+        parent = list(range(n))
+        for i, j in fragments + pairs:
+            ri, rj = _root(parent, i), _root(parent, j)
+            if ri == rj:
+                break  # the match closes a cycle
+            parent[ri] = rj
+        else:
+            # Each end has a fragment side and a frontier side, so an
+            # acyclic chain of ends carries exactly two labels, one at
+            # each of its two terminals.
+            root = [_root(parent, i) for i in range(n)]
+            for labels in _hand_out(single, dict(wild)):
+                chains: dict[int, list[int]] = {}
+                for i, label in labelled + list(zip(single, labels)):
+                    chains.setdefault(root[i], []).append(label)
+                if all(a == b for a, b in chains.values()):
+                    return True
+    return False

@@ -15,10 +15,12 @@ same graph without the layout returns, in the same order.
 On a layout the count prunes states that no completion reaches; with
 the prunes run on every layout it must return exactly what it returns
 with none, and the layout-stripped count stays the independent
-reference.
+reference.  Its non-crossing verdicts must be what the brute force in
+tests/oracles.py derives, which imports nothing from frontier.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -49,6 +51,7 @@ from gridlinkage import (
 )
 from gridlinkage import frontier
 from gridlinkage.graphs import grid_vertex_id
+from oracles import completable_oracle
 
 
 def candidates(ks=(1, 2)):
@@ -380,6 +383,74 @@ class TestPrunes:
             plain, pruned = plain_and_pruned(monkeypatch, instance, require_spanning=spanning)
             assert answer(pruned) == answer(plain)
             assert pruned.count == 1
+
+
+def end_sequences(n):
+    """Every sequence of n open ends as _completable reads them: each a
+    pair label -1..-3, the labels in order of first use (the verdict is
+    the same under any renaming), or the index of its fragment's other
+    end."""
+    ends = [None] * n
+
+    def fill(i, lowest):
+        while i < n and ends[i] is not None:
+            i += 1
+        if i == n:
+            yield tuple(ends)
+            return
+        # A label used before (-1..lowest) or the next one, down to -3.
+        for label in range(-1, max(lowest - 1, -3) - 1, -1):
+            ends[i] = label
+            yield from fill(i + 1, min(lowest, label))
+        for j in range(i + 1, n):
+            if ends[j] is None:
+                ends[i], ends[j] = j, i
+                yield from fill(i + 1, lowest)
+                ends[j] = None
+        ends[i] = None
+
+    yield from fill(0, 0)
+
+
+# Terminals still to come: none, one or two of one label, or one each
+# of two labels.
+WILD = [(), *(((x, k),) for k in (1, 2) for x in (-3, -2, -1)),
+        *(((x, 1), (y, 1)) for x, y in itertools.combinations((-3, -2, -1), 2))]
+
+
+class TestCompletionOracle:
+    """The non-crossing verdicts against tests/oracles.py, which shares
+    no code with frontier: it tries every non-crossing partial matching
+    and every hand-out of terminals still to come, and keeps no memo."""
+
+    def test_every_end_sequence(self):
+        # Up to six ends: seven take about ten times as long.
+        compared = 0
+        for n in range(7):
+            for ends in end_sequences(n):
+                for wild in WILD:
+                    assert frontier._completable(ends, wild) is completable_oracle(ends, wild), (
+                        ends, wild)
+                    compared += 1
+        assert compared == 5850
+
+    def test_every_key_the_counts_read(self, monkeypatch):
+        # Every verdict the k <= 3 candidate counts ask for, with and
+        # without spanning; only the k = 3 layouts reach PRUNE_MIN_ROWS.
+        completable = frontier._completable
+        keys = set()
+
+        def record(ends, wild):
+            keys.add((ends, wild))
+            return completable(ends, wild)
+
+        monkeypatch.setattr(frontier, "_completable", record)
+        for instance in candidates((1, 2, 3)):
+            for spanning in (False, True):
+                count_linkages(instance, require_spanning=spanning)
+        assert (len(keys), max(len(ends) for ends, _ in keys)) == (24, 9)
+        for key in keys:
+            assert completable(*key) is completable_oracle(*key), key
 
 
 def answers(outcome):

@@ -376,7 +376,7 @@ class TestUniqueness:
         assert is_unique(inst, require_spanning=True)
 
 
-class TestPatternAndPairing:
+class TestCanonicalKey:
     def test_canonical_key(self, two_pair):
         # Reversing a path or permuting the paths keeps the key, and
         # the seven distinct linkages of two_pair get seven keys.
@@ -793,6 +793,43 @@ class TestSuffixMemo:
                     assert found_masks[i] ^ prefix == mask
                 checked += 1
         assert checked > 1000
+
+    def test_a_full_memo_keeps_the_answers(self, monkeypatch):
+        # Once the memo holds MEMO_MAX_KEYS keys it stores no more and
+        # still looks up the stored ones; a key left out only means its
+        # subtree is searched again, so every status and solution list
+        # must be the oracle's.  With every node keyed the 5x6
+        # enumeration fills the memo to the bound and no further.
+        monkeypatch.setattr(solver_module, "MEMO_MIN_NODES", 0)
+        sizes = []
+
+        def grab(frame, event, arg):
+            if event == "return" and frame.f_code is solver_module.solve.__code__:
+                sizes.append(len(frame.f_locals["memo"]))
+
+        batch = [_raw_5x6()] + _border_grid_batch()[:4] + list(random_batch(27, 60))
+        wants = [(out.status, [link.paths for link in out.solutions])
+                 for out in map(brute_force_oracle, batch)]
+        for bound in (1, 60):
+            monkeypatch.setattr(solver_module, "MEMO_MAX_KEYS", bound)
+            sizes.clear()
+            sys.setprofile(grab)
+            try:
+                solve(batch[0], mode="enumerate_all")
+            finally:
+                sys.setprofile(None)
+            assert sizes == [bound]
+            for inst, (status, want) in zip(batch, wants):
+                for order, pair_order in (("ascending", "input"), ("min-degree", "auto")):
+                    out = solve(inst, mode="enumerate_all", order=order, pair_order=pair_order)
+                    assert out.status == status
+                    assert [link.paths for link in out.solutions] == want
+                # A capped search keeps a memo in ascending order only.
+                for pair_order in ("input", "auto"):
+                    out = solve(inst, mode="count_up_to", cap=2, pair_order=pair_order)
+                    assert out.status == status
+                    assert len(out.solutions) == min(2, len(want))
+                    assert all(link.paths in want for link in out.solutions)
 
 
 def _border_grid_batch() -> list[Instance]:
