@@ -184,6 +184,8 @@ def _cmd_width(args: argparse.Namespace) -> int:
         name = result.kind
         exact = "exact" if result.exact else "upper bound (budget exhausted)"
         print(f"{name}: {result.value} ({exact})")
+        if not result.exact:
+            print(f"{name} lower bound: {result.lower_bound}")
         print(f"{name} certificate: {' '.join(str(v) for v in result.certificate)}")
         if bound is not None:
             print(f"{name} >= {bound}: {verdict}")

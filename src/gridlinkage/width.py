@@ -17,9 +17,10 @@ re-checkers recompute their width from scratch.
 
 The deepening descends.  A greedy order gives an upper bound, and the
 search tries each width from one below it down until a width fails or
-the degeneracy lower bound is passed.  All the widths of a component
-share one memo of refuted states: a state with no completion within
-w + 1 has none within w, so a refutation stays true all the way down.
+the contraction degeneracy lower bound is passed.  All the widths of a
+component share one memo of refuted states: a state with no completion
+within w + 1 has none within w, so a refutation stays true all the way
+down.
 The certificate is the one a search at the optimal width with a fresh
 memo finds, since the carried memo only cuts subtrees that hold no
 solution.  A search skips a child state already refuted before calling
@@ -29,7 +30,8 @@ and the rare one found refuted only after absorbing still costs a node.
 
 Budgets cap search nodes and wall time.  A blown budget degrades the
 result to the best upper bound found (the greedy one, or the last width
-the descent reached) flagged exact=False; it never guesses.
+the descent reached) flagged exact=False, with the lower bound proven
+so far beside it; it never guesses.
 width_checks() runs several searches under one budget and judges each
 against the 2^k + 1 width of the grid a constructed instance is built
 on: PASS, FAIL, or INDETERMINATE for an inexact result.
@@ -62,7 +64,8 @@ class WidthResult:
     certificate is an elimination order for treewidth, a left-to-right
     layout for pathwidth, always covering every vertex.  exact=False
     means the budget ran out and value is only the best upper bound
-    found; the certificate still evaluates to value.
+    found; the certificate still evaluates to value.  lower_bound is
+    the width proven so far; it equals value when exact.
     """
 
     kind: str
@@ -70,6 +73,7 @@ class WidthResult:
     certificate: tuple[int, ...]
     exact: bool
     nodes_explored: int
+    lower_bound: int
 
 
 def _closure_neighbors(adj: list[int], remaining: int, v: int) -> int:
@@ -134,17 +138,38 @@ def width_of_layout(graph: Graph, order: Iterable[int]) -> int:
     return worst
 
 
-def _degeneracy(adj: list[int], comp: int, deadline: float) -> int:
-    # Past the deadline the bound reached so far stands; it is still a
-    # lower bound, since each minimum degree seen is at most the
-    # degeneracy.
-    rest = comp
+def _contraction_bound(
+    adj: list[int], comp: int, deadline: float, least_common: bool
+) -> int:
+    # Contract a minimum-degree vertex into its neighbour of least degree
+    # (min-d) or sharing the fewest neighbours with it (least-c), over
+    # and over; the largest minimum degree seen is the bound.  comp is
+    # connected and stays so, so v always has a neighbour.  Past the
+    # deadline the bound so far stands.
+    nb = [a & comp for a in adj]
     best = 0
-    while rest and time.monotonic() <= deadline:
-        v = min(iter_bits(rest), key=lambda u: ((adj[u] & rest).bit_count(), u))
-        best = max(best, (adj[v] & rest).bit_count())
-        rest &= ~(1 << v)
+    rest = comp
+    while rest & (rest - 1) and time.monotonic() <= deadline:
+        v = min(iter_bits(rest), key=lambda x: (nb[x].bit_count(), x))
+        nv = nb[v]
+        best = max(best, nv.bit_count())
+        u = min(iter_bits(nv), key=lambda x: (
+            (nb[x] & nv if least_common else nb[x]).bit_count(), x))
+        bu = 1 << u
+        for x in iter_bits(nv ^ bu):
+            nb[x] = nb[x] ^ (1 << v) | bu
+        nb[u] = (nb[u] | nv) & ~(1 << v | bu)
+        rest ^= 1 << v
     return best
+
+
+def _contraction_degeneracy(adj: list[int], comp: int, deadline: float) -> int:
+    # Contraction degeneracy (MMD+; Bodlaender, Koster & Wolle, 2006), the
+    # larger of two rules since neither dominates.  Each graph reached is
+    # a minor of comp, so it bounds treewidth (and pathwidth) from below,
+    # and the survivors keep every edge amongst themselves, so it is never
+    # below the degeneracy.
+    return max(_contraction_bound(adj, comp, deadline, rule) for rule in (False, True))
 
 
 def _eliminate(nbrs: list[int], v: int) -> list[int]:
@@ -409,10 +434,12 @@ def _deepen(
 ) -> WidthResult:
     # Per component: upper() gives a greedy (width, order), then decide()
     # tries each width from one below it down, keeping every order it
-    # finds, until a width fails or the degeneracy lower bound is
-    # passed; the last order found is optimal.  One failed set serves
-    # every width of a component: a state with no completion within
-    # w + 1 has none within w.  A blown budget keeps the best so far.
+    # finds, until a width fails or the contraction degeneracy lower
+    # bound is passed; the last order found is optimal.  One failed set
+    # serves every width of a component: a state with no completion
+    # within w + 1 has none within w.  A blown budget keeps the best so
+    # far, and a component whose descent did not finish proves only its
+    # lower bound.
     n = graph.vertex_count
     if n == 0:
         raise ValueError("width of the empty graph is not defined here")
@@ -421,24 +448,24 @@ def _deepen(
 
     comps = components(adj, (1 << n) - 1)
     per_comp = [upper(adj, comp, budget.deadline) for comp in comps]
+    # No clique bound: omega - 1 <= degeneracy (Bodlaender-Koster).
+    lows = [_contraction_degeneracy(adj, comp, budget.deadline) for comp in comps]
     exact = True
     try:
         for i, comp in enumerate(comps):
-            ub, _ = per_comp[i]
-            # No clique bound: omega - 1 <= degeneracy (Bodlaender-Koster).
-            lb = _degeneracy(adj, comp, budget.deadline)
             failed: set[int] = set()
-            for w in range(ub - 1, lb - 1, -1):
+            for w in range(per_comp[i][0] - 1, lows[i] - 1, -1):
                 order = decide(adj, comp, w, budget, failed)
                 if order is None:
                     break
                 per_comp[i] = (w, order)
+            lows[i] = per_comp[i][0]
     except _WidthBudget:
         exact = False
 
     value = max(width for width, _ in per_comp)
     certificate = tuple(v for _, order in per_comp for v in order)
-    return WidthResult(kind, value, certificate, exact, budget.nodes)
+    return WidthResult(kind, value, certificate, exact, budget.nodes, max(lows))
 
 
 def treewidth_exact(
@@ -450,13 +477,14 @@ def treewidth_exact(
 
     Per connected component, the search descends from one below a
     greedy min-fill upper bound, one width at a time, and stops at the
-    first width with no order or once it has passed the degeneracy
-    lower bound.  Refuted vertex subsets are memoized once for all the
-    widths of a component: a subset with no order within w + 1 has none
-    within w.  nodes_explored and max_nodes count searched subsets only;
-    a child already refuted is skipped without a node.  Budget
-    exhaustion returns the best upper bound found (the greedy one or
-    the last width the search reached), flagged exact=False.
+    first width with no order or once it has passed the contraction
+    degeneracy lower bound.  Refuted vertex subsets are memoized once
+    for all the widths of a component: a subset with no order within
+    w + 1 has none within w.  nodes_explored and max_nodes count
+    searched subsets only; a child already refuted is skipped without a
+    node.  Budget exhaustion returns the best upper bound found (the
+    greedy one or the last width the search reached), flagged
+    exact=False, with the lower bound proven so far in lower_bound.
     """
     return _deepen(
         KIND_TREEWIDTH, graph, max_nodes, max_seconds, _min_fill_order, _tw_decide
@@ -541,13 +569,14 @@ def pathwidth_exact(
     Vertex-separation search: per connected component, lower the
     allowed boundary size from one below a greedy layout's width until
     no left-to-right layout keeps every prefix within it, or until the
-    degeneracy lower bound is passed.  Refuted placed sets are memoized
-    once for all the widths of a component: a placed set with no layout
-    within w + 1 has none within w.  nodes_explored and max_nodes count
-    searched placed sets only; a move onto a set already refuted is
-    skipped without a node.  Budget exhaustion returns the best upper
-    bound found (the greedy one or the last width the search reached),
-    flagged exact=False.
+    contraction degeneracy lower bound is passed.  Refuted placed sets
+    are memoized once for all the widths of a component: a placed set
+    with no layout within w + 1 has none within w.  nodes_explored and
+    max_nodes count searched placed sets only; a move onto a set already
+    refuted is skipped without a node.  Budget exhaustion returns the
+    best upper bound found (the greedy one or the last width the search
+    reached), flagged exact=False, with the lower bound proven so far in
+    lower_bound.
     """
     return _deepen(
         KIND_PATHWIDTH, graph, max_nodes, max_seconds, _greedy_layout, _pw_decide

@@ -407,10 +407,36 @@ class TestCli:
         assert "bound" in text and "PASS" in text
 
     def test_width_budget_exit(self, tmp_path):
-        graph, _ = make_grid(4, 4)
+        # Width 5 over lower bound 4: the descent must search.
+        graph, _ = make_grid(5, 5)
         path = tmp_path / "grid.col"
         path.write_text(write_edge_list(graph))
         assert main(["width", str(path), "--budget-nodes", "1"]) == EXIT_ABORTED
+
+    def test_width_lower_bound_on_inexact_rows_only(self, tmp_path, instance_file, capsys):
+        # An inexact row states the lower bound proven so far under its
+        # upper bound; an exact run prints no such line.
+        graph, _ = make_grid(5, 5)
+        path = tmp_path / "grid.col"
+        path.write_text(write_edge_list(graph))
+        assert main(["width", str(path), "--budget-nodes", "1"]) == EXIT_ABORTED
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "certificate" not in line] == [
+            "treewidth: 5 (upper bound (budget exhausted))",
+            "treewidth lower bound: 4",
+            "pathwidth: 5 (upper bound (budget exhausted))",
+            "pathwidth lower bound: 4",
+        ]
+        assert main(["width", str(instance_file)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "treewidth: 3 (exact)\n"
+            "treewidth certificate: 0 6 3 1 4 2 5 7 8\n"
+            "treewidth >= 3: PASS\n"
+            "pathwidth: 3 (exact)\n"
+            "pathwidth certificate: 0 1 3 2 4 6 7 5 8\n"
+            "pathwidth >= 3: PASS\n"
+            "width bound met with 2 spanning paths (grid side 3)\n"
+        )
 
     def test_width_spends_one_budget(self, tmp_path, capsys):
         path = tmp_path / "k3.json"

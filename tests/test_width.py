@@ -4,6 +4,7 @@ import functools
 import gc
 import random
 import time
+import types
 
 import pytest
 
@@ -25,6 +26,8 @@ from gridlinkage.construction import S0_BOTTOM_LEFT
 from gridlinkage import width as width_module
 from gridlinkage.width import (
     _closure_neighbors,
+    _contraction_bound,
+    _contraction_degeneracy,
     _eliminate,
     _greedy_layout,
     _min_fill_order,
@@ -616,6 +619,9 @@ class TestCarriedMemo:
 
         monkeypatch.setattr(width_module, decide, checking_decide)
         monkeypatch.setattr(width_module, upper, trivial_bound)
+        # With the lower bound at 0 too, every descent runs down to its
+        # refuting search, as with the trivial bound above.
+        monkeypatch.setattr(width_module, "_contraction_degeneracy", lambda *args: 0)
         rng = random.Random(34)
         dense = [gnp(rng, n, 0.5) for n in [9, 10, 11] * 15]
         for graph in small_family() + dense:
@@ -635,6 +641,125 @@ class TestCarriedMemo:
         assert width_of_layout(twice, result.certificate) == 2
 
 
+def degeneracy(graph):
+    """Largest minimum degree met while removing a minimum-degree vertex
+    at a time."""
+    rest = set(range(graph.vertex_count))
+    best = 0
+    while rest:
+        v = min(rest, key=lambda u: len(rest.intersection(graph.adjacency[u])))
+        best = max(best, len(rest.intersection(graph.adjacency[v])))
+        rest.discard(v)
+    return best
+
+
+def whole(graph):
+    return graph.masks, (1 << graph.vertex_count) - 1
+
+
+class TestContractionDegeneracy:
+    """The descent's lower bound: at most the treewidth, at least the
+    degeneracy, and within its deadline."""
+
+    @staticmethod
+    def oracle_graphs():
+        rng = random.Random(7)
+        sample = []
+        while len(sample) < 40:
+            graph = gnp(rng, 7, rng.choice((0.3, 0.5, 0.7)))
+            if components(*whole(graph)) == [whole(graph)[1]]:
+                sample.append(graph)
+        return list(connected_graphs(6)) + sample
+
+    def test_each_rule_between_degeneracy_and_treewidth(self):
+        met = 0
+        for graph in self.oracle_graphs():
+            adj, comp = whole(graph)
+            rules = [_contraction_bound(adj, comp, float("inf"), rule) for rule in (False, True)]
+            bound = _contraction_degeneracy(adj, comp, float("inf"))
+            assert bound == max(rules)
+            assert degeneracy(graph) <= min(rules)
+            assert bound <= brute_treewidth(graph)
+            met += bound == brute_treewidth(graph)
+        assert met > 0
+
+    @pytest.mark.parametrize("name", ["grid3x3", "grid4x6", "grid6x6", "k1", "k2", "k3"]
+                             + [f"gnp{seed}" for seed in range(6)])
+    def test_at_least_the_degeneracy_on_larger_graphs(self, name):
+        if name.startswith("grid"):
+            graph = make_grid(*map(int, name[4:].split("x")))[0]
+        elif name.startswith("k"):
+            graph = build_instance(int(name[1:])).graph
+        else:
+            graph = dense_random(0.35, int(name[3:]))
+        adj, comp = whole(graph)
+        for rule in (False, True):
+            assert _contraction_bound(adj, comp, float("inf"), rule) >= degeneracy(graph)
+
+    @pytest.mark.parametrize("p, seed, min_d, least_c", [(0.35, 12, 4, 5), (0.5, 21, 8, 7)])
+    def test_neither_rule_dominates(self, p, seed, min_d, least_c):
+        graph = dense_random(p, seed)
+        adj, comp = whole(graph)
+        rules = [_contraction_bound(adj, comp, float("inf"), rule) for rule in (False, True)]
+        assert rules == [min_d, least_c]
+        assert _contraction_degeneracy(adj, comp, float("inf")) == max(rules)
+        assert max(rules) <= treewidth_exact(graph).value
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_square_grids(self, n):
+        # tw = n, but every n x n grid past 4 x 4 reads 4.
+        assert _contraction_degeneracy(*whole(make_grid(n, n)[0]), float("inf")) == 4
+
+    def test_paper_instances(self):
+        # tw = 2^k + 1 = 3, 5, 9, 17, 33; the bound meets it at k = 1 only.
+        bounds = [_contraction_degeneracy(*whole(build_instance(k).graph), float("inf"))
+                  for k in range(1, 6)]
+        assert bounds == [3, 4, 5, 5, 5]
+
+    def test_deadline_keeps_the_bound_so_far(self, monkeypatch):
+        graph = build_instance(2).graph
+        adj, comp = whole(graph)
+        full = _contraction_degeneracy(adj, comp, float("inf"))
+        assert _contraction_degeneracy(adj, comp, time.monotonic() - 1) <= full
+        # A clock that ticks once per reading: deadline d allows d + 1
+        # contractions in all, first under min-d and then under least-c.
+        bounds = []
+        for deadline in range(-1, 2 * graph.vertex_count):
+            clock = iter(range(10**6))
+            monkeypatch.setattr(width_module, "time", types.SimpleNamespace(
+                monotonic=lambda: next(clock)))
+            bounds.append(_contraction_degeneracy(adj, comp, deadline))
+        assert bounds[0] == 0
+        assert bounds == sorted(bounds) and bounds[-1] == full
+
+
+class TestLowerBound:
+    """WidthResult.lower_bound: the value when exact, otherwise what
+    each component proved."""
+
+    @pytest.mark.parametrize("search", [treewidth_exact, pathwidth_exact])
+    def test_exact_results_report_the_value(self, search):
+        for graph in [g for g, _, _ in KNOWN] + [make_grid(4, 4)[0]]:
+            result = search(graph)
+            assert result.exact and result.lower_bound == result.value
+
+    def test_unfinished_descent_reports_its_bound(self):
+        graph, _ = make_grid(5, 5)
+        result = pathwidth_exact(graph, max_nodes=10)
+        assert not result.exact
+        assert (result.value, result.lower_bound) == (5, 4)
+
+    def test_finished_component_reports_its_value(self):
+        # Two 5x5 grids (pathwidth 5, bound 4; 16,499 nodes each): the
+        # first descent finishes, the second runs out.
+        graph, _ = make_grid(5, 5)
+        edges = graph.sorted_edges()
+        twice = Graph.from_edges(50, edges + [(u + 25, v + 25) for u, v in edges])
+        result = pathwidth_exact(twice, max_nodes=20_000)
+        assert not result.exact
+        assert result.lower_bound == 5 <= result.value
+
+
 class TestBoundReport:
     def test_k1(self):
         inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
@@ -647,11 +772,14 @@ class TestBoundReport:
 
     def test_requires_generator_metadata(self):
         # Without k there is no bound: an exact width passes, an
-        # inexact one stays indeterminate, and neither can fail.
+        # inexact one stays indeterminate, and neither can fail.  The
+        # 5x5 grid has width 5 and lower bound 4, so its descent must
+        # search.
         graph, _ = make_grid(3, 3)
         bound, checks = width_checks(graph)
         assert bound is None
         assert [verdict for _, verdict in checks] == ["PASS", "PASS"]
+        graph, _ = make_grid(5, 5)
         bound, checks = width_checks(graph, max_nodes=1)
         assert [verdict for _, verdict in checks] == ["INDETERMINATE"] * 2
 
@@ -669,8 +797,9 @@ class TestBoundReport:
             bad.construction_k()
 
     def test_indeterminate_under_budget(self):
-        inst = build_instance(1, s0_placement=S0_BOTTOM_LEFT)
-        _, checks = width_checks(inst.graph, 1, max_nodes=1)
+        # k = 2 has width 5 and lower bound 4, so its descent must search.
+        inst = build_instance(2, s0_placement=S0_BOTTOM_LEFT)
+        _, checks = width_checks(inst.graph, 2, max_nodes=1)
         assert [verdict for _, verdict in checks] == ["INDETERMINATE"] * 2
 
     def test_one_time_budget_for_both_searches(self):

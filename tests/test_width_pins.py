@@ -6,10 +6,17 @@ widths tried and the failed-set memo they share.  Each row records the
 width, nodes_explored and the certificate for one graph; any change to
 a search decision shows up here as a count or certificate change, not
 only as a timing change.
+
+The descent stops at the contraction degeneracy lower bound, which
+meets the answer on most of these graphs, so no refuting search runs
+there.  PINNED therefore sets that bound to 0, which keeps the descent
+running down to its failing search, and SHIPPED_NODES pins what the
+shipped bound leaves of each count.
 """
 
 import pytest
 
+from gridlinkage import width as width_module
 from gridlinkage import (
     Graph,
     build_instance,
@@ -31,7 +38,7 @@ GRAPHS = {
         (12, 14), (12, 15)]),
 }
 
-# (search, graph, value, nodes_explored, certificate)
+# (search, graph, value, nodes_explored, certificate), lower bound 0
 PINNED = [
     (pathwidth_exact, "k1", 3, 48, (0, 1, 3, 2, 4, 6, 7, 5, 8)),
     (pathwidth_exact, "k2", 5, 15872,
@@ -59,14 +66,40 @@ PINNED = [
 ]
 
 
-@pytest.mark.parametrize(
-    "search, name, value, nodes, certificate",
-    PINNED,
-    ids=[f"{row[0].__name__}-{row[1]}" for row in PINNED],
-)
-def test_pinned_search(search, name, value, nodes, certificate):
+# nodes_explored with the shipped lower bound.  Where the bound meets
+# the value and the greedy bound is optimal, no search runs at all.  On
+# k2 the bound (4) sits one below the value and the refuting search
+# runs as before; on tree31 the greedy bound is 4 and the value 2, with
+# bound 1.  On sparse16 the search at width 4 still runs, and the one
+# at 3 goes.  Value and certificate are as in PINNED.
+SHIPPED_NODES = {
+    (pathwidth_exact, "k1"): 0,
+    (pathwidth_exact, "k2"): 15872,
+    (pathwidth_exact, "grid3"): 0,
+    (pathwidth_exact, "grid4"): 0,
+    (pathwidth_exact, "tree31"): 168,
+    (treewidth_exact, "k1"): 0,
+    (treewidth_exact, "grid4"): 0,
+    (treewidth_exact, "sparse16"): 14,
+}
+
+IDS = [f"{row[0].__name__}-{row[1]}" for row in PINNED]
+
+
+def check_row(search, name, value, nodes, certificate):
     result = search(GRAPHS[name]())
     assert result.exact
-    assert result.value == value
+    assert result.value == result.lower_bound == value
     assert result.nodes_explored == nodes
     assert result.certificate == certificate
+
+
+@pytest.mark.parametrize("search, name, value, nodes, certificate", PINNED, ids=IDS)
+def test_pinned_search(monkeypatch, search, name, value, nodes, certificate):
+    monkeypatch.setattr(width_module, "_contraction_degeneracy", lambda *args: 0)
+    check_row(search, name, value, nodes, certificate)
+
+
+@pytest.mark.parametrize("search, name, value, nodes, certificate", PINNED, ids=IDS)
+def test_shipped_bound(search, name, value, nodes, certificate):
+    check_row(search, name, value, SHIPPED_NODES[search, name], certificate)
