@@ -12,8 +12,16 @@ updates it per eliminated vertex, whose neighbours become a clique.
 That update keeps a connected graph connected, so components split off
 once, before the search.  Pathwidth runs the same deepening, through
 the same _deepen(), over vertex layouts scored by boundary size (vertex
-separation).  Certificates are plain vertex orders; independent
-re-checkers recompute their width from scratch.
+separation).  It branches by the two rules of Coudert, Mazauric & Nisse
+("Experimental evaluation of a branch and bound algorithm for computing
+pathwidth", SEA 2014).  A closing move, one that places the last
+unplaced neighbour of a boundary vertex, never grows the boundary; the
+boundary size is submodular, so some layout within w places it next if
+any does, and the search commits to the best one without trying its
+siblings.  Where there is none, every move opens a boundary slot, so the
+moves are tried in vertex order without scoring.  Certificates are plain
+vertex orders; independent re-checkers recompute their width from
+scratch.
 
 The deepening descends.  A greedy order gives an upper bound, and the
 search tries each width from one below it down until a width fails or
@@ -40,7 +48,7 @@ on: PASS, FAIL, or INDETERMINATE for an inexact result.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .bitsets import components, iter_bits
@@ -233,11 +241,12 @@ def _min_fill_order(
 # Layout scoring.  A layout's boundary is the set of placed vertices that
 # still have an unplaced neighbour; its width is the largest boundary any
 # prefix has.  The boundary is kept as a bitmask and updated per placed
-# vertex rather than recounted, and a move is scored only where it can
-# fit: once the boundary holds limit vertices, only a neighbour of a
-# boundary vertex with one unplaced neighbour left can be placed next.
-# nb holds each vertex's neighbours inside the component being laid
-# out, rest the vertices not placed yet.
+# vertex rather than recounted.  near holds the unplaced vertices that
+# are the one unplaced neighbour left of some boundary vertex: placing
+# one drops that boundary vertex, so it never grows the boundary.  Only
+# these closing moves are ever scored.  nb holds each vertex's
+# neighbours inside the component being laid out, rest the vertices not
+# placed yet.
 
 
 def _still_open(nb: list[int], boundary: int, rest: int) -> int:
@@ -251,19 +260,13 @@ def _still_open(nb: list[int], boundary: int, rest: int) -> int:
     return boundary
 
 
-def _moves(
-    nb: list[int], boundary: int, rest: int, limit: int
-) -> list[tuple[int, int, int]]:
-    # (size, v, boundary) after placing v next, for every v in rest
-    # whose placement keeps the boundary within limit, ascending by v.
-    # Placing v adds v if it keeps an unplaced neighbour and drops the
-    # boundary vertices whose one unplaced neighbour was v (sole); near
-    # holds those last neighbours.  A boundary already at limit leaves
-    # only moves into near: any other v keeps every boundary vertex and,
-    # when each unplaced vertex has an unplaced neighbour (as after the
-    # decide search's absorption), adds itself.  _greedy_layout passes
-    # the boundary's own size as limit for the moves into near, and
-    # scores the vertices without an unplaced neighbour itself.
+def _closing_move(
+    nb: list[int], boundary: int, rest: int
+) -> tuple[int, int, int] | None:
+    # The best move into near: (size, v, boundary) after placing v next,
+    # lowest by (size, v), or None when near is empty.  Placing v adds v
+    # if it keeps an unplaced neighbour and drops the boundary vertices
+    # whose one unplaced neighbour was v (sole).
     sole = 0
     near = 0
     m = boundary
@@ -274,20 +277,15 @@ def _moves(
         if not left & (left - 1):
             sole |= low
             near |= left
-    moves = []
-    m = near if boundary.bit_count() >= limit else rest
-    while m:
-        low = m & -m
-        m ^= low
+    best = None
+    while near:
+        low = near & -near
+        near ^= low
         v = low.bit_length() - 1
-        nbv = nb[v]
-        grown = boundary & ~(nbv & sole)
-        if nbv & (rest ^ low):
-            grown |= low
-        size = grown.bit_count()
-        if size <= limit:
-            moves.append((size, v, grown))
-    return moves
+        grown = boundary & ~(nb[v] & sole) | (low if nb[v] & (rest ^ low) else 0)
+        if best is None or grown.bit_count() < best[0]:
+            best = (grown.bit_count(), v, grown)
+    return best
 
 
 def _greedy_layout(
@@ -296,16 +294,17 @@ def _greedy_layout(
     # Pathwidth upper bound: greedy sweep from every start vertex,
     # always placing next whatever keeps the boundary smallest, the
     # lowest vertex among equals.  Only three kinds of move can win.  A
-    # move into near (see _moves) drops a boundary vertex, so it keeps
-    # the boundary within its size.  Any other move keeps the boundary
-    # and adds itself unless it has no unplaced neighbour (lonely), so
-    # of those only the lowest lonely vertex, or failing one the lowest
-    # unplaced vertex, can win; one that is also in near scores lower
-    # among the moves into near.  lonely gains the last move's
-    # neighbours that _still_open no longer finds open.  The clock is
-    # read before each start and every 64 placements; past the deadline
-    # the sweep under way is dropped and the best complete layout so far
-    # stands, and the search that follows then stops at its first node.
+    # closing move drops a boundary vertex, so it keeps the boundary
+    # within its size, and _closing_move picks the best of them.  Any
+    # other move keeps the boundary and adds itself unless it has no
+    # unplaced neighbour (lonely), so of those only the lowest lonely
+    # vertex, or failing one the lowest unplaced vertex, can win; one
+    # that is also in near scores lower as a closing move.  lonely
+    # gains the last move's neighbours that _still_open no longer finds
+    # open.  The clock is read before each start and every 64
+    # placements; past the deadline the sweep under way is dropped and
+    # the best complete layout so far stands, and the search that
+    # follows then stops at its first node.
     nb = [a & comp for a in adj]
     best_order = sorted(iter_bits(comp))
     best_width = 0
@@ -327,14 +326,10 @@ def _greedy_layout(
             if not len(order) % 64 and time.monotonic() > deadline:
                 return best_width, best_order
             size = boundary.bit_count()
-            moves = _moves(nb, boundary, rest, size)
-            if lonely:
-                v = (lonely & -lonely).bit_length() - 1
-                moves.append((size, v, boundary))
-            else:
-                v = (rest & -rest).bit_length() - 1
-                moves.append((size + 1, v, boundary | 1 << v))
-            size, v, boundary = min(moves)
+            pick = lonely or rest
+            v = (pick & -pick).bit_length() - 1
+            move = (size, v, boundary) if lonely else (size + 1, v, boundary | 1 << v)
+            size, v, boundary = min(move, _closing_move(nb, boundary, rest) or move)
             width = max(width, size)
             rest ^= 1 << v
             fresh = nb[v] & rest
@@ -512,8 +507,8 @@ def _pw_decide(
         # unplaced neighbour since the parent's absorption, so one
         # ascending pass over fresh absorbs exactly what repeated passes
         # over every unplaced vertex would, in the same order.  Afterwards
-        # every unplaced vertex has an unplaced neighbour, which is what
-        # lets _moves score only near at a full boundary.
+        # every unplaced vertex has an unplaced neighbour, so a move
+        # outside near keeps the whole boundary and adds itself.
         absorbed = 0
         m = fresh
         while m:
@@ -532,17 +527,38 @@ def _pw_decide(
         if absorbed:
             boundary = _still_open(nb, boundary, rest)
 
+        # Two rules pick the moves (Coudert, Mazauric & Nisse, "Experimental
+        # evaluation of a branch and bound algorithm for computing
+        # pathwidth", SEA 2014).  Rule 1: when near is not empty, commit
+        # to the best closing move and try no sibling.  A closing move v
+        # drops a boundary vertex and adds at most v, so with f the
+        # boundary size, f(placed + v) <= f(placed).  f is submodular,
+        # so for any later placed set A holding placed but not v,
+        # f(A + v) <= f(A) + f(placed + v) - f(placed) <= f(A): a layout
+        # within w from here can place v next.  Every other move grows
+        # the boundary by one, so this one would come first in (size, v)
+        # order anyway, and the certificate is the one a search of every
+        # move finds.  Rule 2: otherwise every move opens a slot,
+        # boundary | 1 << v, so while there is room each v is tried in
+        # ascending order without scoring.  A closing move's boundary
+        # already holds v, since v keeps an unplaced neighbour.
+        move = _closing_move(nb, boundary, rest)
+        if move is not None:
+            _, v, boundary = move
+            moves = 1 << v
+        else:
+            moves = rest if boundary.bit_count() < w else 0
         # A refuted child is recorded under its key before absorption,
         # the one this loop sees, as well as under its absorbed key (it
         # records that itself).  Absorbing never widens a boundary, so
         # the two keys are refuted together, and a refuted child is
         # skipped without a call.
-        for _, v, grown in sorted(_moves(nb, boundary, rest, w)):
+        for v in iter_bits(moves):
             child = placed | 1 << v
             if child in failed:
                 continue
             order.append(v)
-            result = search(rest ^ (1 << v), grown, nb[v] & rest, order)
+            result = search(rest ^ (1 << v), boundary | 1 << v, nb[v] & rest, order)
             if result is not None:
                 return result
             order.pop()
@@ -569,7 +585,13 @@ def pathwidth_exact(
     Vertex-separation search: per connected component, lower the
     allowed boundary size from one below a greedy layout's width until
     no left-to-right layout keeps every prefix within it, or until the
-    contraction degeneracy lower bound is passed.  Refuted placed sets
+    contraction degeneracy lower bound is passed.  Where a move closes
+    a boundary vertex (places its last unplaced neighbour), the search
+    commits to the best such move, which is sound since the boundary
+    size is submodular; otherwise it tries every move, each of which
+    opens a boundary slot, in vertex order (Coudert, Mazauric & Nisse,
+    SEA 2014).  The layout found is the one a search of every move in
+    (boundary size, vertex) order finds.  Refuted placed sets
     are memoized once for all the widths of a component: a placed set
     with no layout within w + 1 has none within w.  nodes_explored and
     max_nodes count searched placed sets only; a move onto a set already
@@ -599,10 +621,12 @@ def width_checks(
 
     Returns (bound, [(result, verdict), ...]), bound None when k is.
     Each search gets the nodes and seconds the ones before it left, and
-    each result's nodes_explored counts its own search only.  verdict
-    is INDETERMINATE when the result is inexact, since an upper bound
-    proves nothing; FAIL when the exact value is below the bound; and
-    PASS otherwise.
+    each result's nodes_explored counts its own search only.  Each
+    result's lower_bound is raised to the best one a treewidth result
+    before it proved, which bounds pathwidth too since pw >= tw.
+    verdict is INDETERMINATE when the result is inexact, since an upper
+    bound proves nothing; FAIL when the exact value is below the bound;
+    and PASS otherwise.
     """
     bound = None if k is None else 2**k + 1
     deadline = time.monotonic() + max_seconds
@@ -610,6 +634,8 @@ def width_checks(
     for search in searches:
         result = search(graph, max_nodes, deadline - time.monotonic())
         max_nodes -= result.nodes_explored
+        proven = [r.lower_bound for r, _ in checks if r.kind == KIND_TREEWIDTH]
+        result = replace(result, lower_bound=max([result.lower_bound, *proven]))
         if not result.exact:
             verdict = "INDETERMINATE"
         elif bound is not None and result.value < bound:

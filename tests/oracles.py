@@ -1,10 +1,11 @@
 """Independent reference implementations used only by the test suite.
 
 Nothing here imports solver internals: crossing counts come from split
-enumeration over path indices, widths from trying whole vertex orders,
-the frontier DP's completion verdicts from every non-crossing partial
-matching of the ends, and the graph family is rebuilt from scratch with
-its own canonical form.  Known sequence values (connected graphs up to isomorphism:
+enumeration over path indices, widths from trying whole vertex orders
+and from breadth-first search over placed sets, the frontier DP's
+completion verdicts from every non-crossing partial matching of the
+ends, and the graph family is rebuilt from scratch with its own
+canonical form.  Known sequence values (connected graphs up to isomorphism:
 1, 1, 2, 6, 21, 112, 853) pin the generator itself.
 """
 
@@ -205,6 +206,36 @@ def brute_pathwidth(graph: Graph) -> int:
 
     walk(frozenset(), 0)
     return best
+
+
+def layout_within(graph: Graph, w: int) -> bool:
+    """Whether the vertices can be placed one at a time so that no prefix
+    has more than w placed vertices with an unplaced neighbour.
+
+    Breadth-first over placed sets, one level per placed vertex, each
+    level holding every set reachable through prefixes within w.  Every
+    unplaced vertex is tried at every set: nothing is absorbed, no move
+    is preferred, and nothing is remembered from another width.
+    """
+    n = graph.vertex_count
+    adj = graph.masks
+    level = {0}
+    for _ in range(n):
+        reached: set[int] = set()
+        wide: set[int] = set()
+        for placed in level:
+            for v in range(n):
+                grown = placed | 1 << v
+                if grown == placed or grown in reached or grown in wide:
+                    continue
+                boundary = sum(
+                    1 for u in range(n) if grown >> u & 1 and adj[u] & ~grown
+                )
+                (reached if boundary <= w else wide).add(grown)
+        if not reached:
+            return False
+        level = reached
+    return True
 
 
 def all_simple_paths_with_border_ends(

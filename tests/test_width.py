@@ -25,19 +25,18 @@ from gridlinkage.bitsets import components, iter_bits
 from gridlinkage.construction import S0_BOTTOM_LEFT
 from gridlinkage import width as width_module
 from gridlinkage.width import (
+    _closing_move,
     _closure_neighbors,
     _contraction_bound,
     _contraction_degeneracy,
     _eliminate,
     _greedy_layout,
     _min_fill_order,
-    _moves,
     _pw_decide,
-    _still_open,
     _tw_decide,
     _Budget,
 )
-from oracles import brute_pathwidth, brute_treewidth, connected_graphs
+from oracles import brute_pathwidth, brute_treewidth, connected_graphs, layout_within
 
 
 def path_graph(n):
@@ -197,12 +196,12 @@ class TestBudgets:
         graph = Graph.from_edges(200, [(labels[i], labels[i + 1]) for i in range(199)])
         placed = 0
 
-        def counting_moves(*args):
+        def counting_closing_move(*args):
             nonlocal placed
             placed += 1
-            return _moves(*args)
+            return _closing_move(*args)
 
-        monkeypatch.setattr(width_module, "_moves", counting_moves)
+        monkeypatch.setattr(width_module, "_closing_move", counting_closing_move)
         monkeypatch.setattr(
             width_module.time, "monotonic", lambda: 0.0 if placed < 100 else 10.0
         )
@@ -255,33 +254,33 @@ class TestBudgets:
 
 
 class TestIncrementalMoves:
-    """_moves, scoring only near at a full boundary, lists the same moves
-    as a scorer that recounts every candidate's boundary."""
+    """On every search state, _closing_move, fed the boundary the search
+    carries, returns the best of all moves a from-scratch recount scores,
+    and where it finds none every move opens a slot."""
 
     @staticmethod
-    def recounted_moves(nb, placed, rest, limit):
+    def recounted_moves(nb, placed, rest):
+        # (size, v, boundary) for every v in rest, each boundary recounted
+        # from the placed set.
         moves = []
         for v in iter_bits(rest):
-            left = rest & ~(1 << v)
-            grown = 0
-            for u in iter_bits(placed | 1 << v):
-                if nb[u] & left:
-                    grown |= 1 << u
-            if grown.bit_count() <= limit:
-                moves.append((grown.bit_count(), v, grown))
+            grown = placed | 1 << v
+            after = sum(1 << u for u in iter_bits(grown) if nb[u] & ~grown)
+            moves.append((after.bit_count(), v, after))
         return moves
 
     def test_moves_match_recount_on_search_states(self, monkeypatch):
         calls = []
 
-        def recording_moves(nb, boundary, rest, limit):
-            out = _moves(nb, boundary, rest, limit)
-            calls.append((nb, boundary, rest, limit, out))
+        def recording_closing_move(nb, boundary, rest):
+            out = _closing_move(nb, boundary, rest)
+            calls.append((nb, boundary, rest, out))
             return out
 
-        monkeypatch.setattr(width_module, "_moves", recording_moves)
+        monkeypatch.setattr(width_module, "_closing_move", recording_closing_move)
         rng = random.Random(13)
         full = {True: 0, False: 0}
+        closing = {True: 0, False: 0}
         for _ in range(60):
             n = rng.randint(6, 13)
             edges = {(rng.randrange(i), i) for i in range(1, n)}
@@ -293,36 +292,91 @@ class TestIncrementalMoves:
             for limit in range(1, 7):
                 calls.clear()
                 _pw_decide(adj, comp, limit, _Budget(200_000, 60.0), set())
-                for nb, boundary, rest, w, out in calls:
+                for nb, boundary, rest, out in calls:
                     placed = comp & ~rest
                     assert boundary == sum(
                         1 << u for u in iter_bits(placed) if nb[u] & rest
                     )
-                    assert out == self.recounted_moves(nb, placed, rest, w)
-                    full[boundary.bit_count() == w] += 1
+                    moves = self.recounted_moves(nb, placed, rest)
+                    near = {
+                        v for v in iter_bits(rest)
+                        if any(nb[u] & rest == 1 << v for u in iter_bits(placed))
+                    }
+                    if near:
+                        assert out == min(moves) and out[1] in near
+                    else:
+                        assert out is None
+                        size = boundary.bit_count() + 1
+                        assert moves == [(size, v, boundary | 1 << v) for v in iter_bits(rest)]
+                    full[boundary.bit_count() == limit] += 1
+                    closing[out is not None] += 1
         assert full[True] > 1000 and full[False] > 1000
+        assert closing[True] > 1000 and closing[False] > 1000
+
+
+class TestCommitRule:
+    """_pw_decide, which commits to a closing move where there is one and
+    absorbs, agrees at every width with a breadth-first search over
+    placed sets that tries every move (oracles.layout_within)."""
+
+    def test_oracle_matches_brute_pathwidth(self):
+        for graph in connected_graphs(6):
+            least = next(w for w in range(graph.vertex_count) if layout_within(graph, w))
+            assert least == brute_pathwidth(graph)
+
+    def test_feasibility_matches_breadth_first_search(self):
+        # Feasibility rises with w, so the oracle runs up to the least
+        # feasible width and every width above it is feasible too.
+        rng = random.Random(29)
+        feasible = {True: 0, False: 0}
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            edges = {(rng.randrange(i), i) for i in range(1, n)}
+            for _ in range(rng.randint(0, 2 * n)):
+                a, b = sorted(rng.sample(range(n), 2))
+                edges.add((a, b))
+            graph = Graph.from_edges(n, edges)
+            comp = (1 << n) - 1
+            least = next(w for w in range(n) if layout_within(graph, w))
+            for w in range(n):
+                order = _pw_decide(graph.masks, comp, w, _Budget(10**7, 60.0), set())
+                assert (order is not None) == (w >= least)
+                if order is not None:
+                    assert width_of_layout(graph, order) <= w
+                feasible[order is not None] += 1
+        assert feasible[True] > 500 and feasible[False] > 500
 
 
 def scored_greedy_layout(adj, comp):
-    """The greedy sweep scoring every unplaced vertex at each placement,
-    with no deadline: the smallest boundary wins, the lowest vertex
-    among equals."""
+    """The greedy sweep recounting the boundary after each unplaced
+    vertex at each placement, with no deadline: the smallest boundary
+    wins, the lowest vertex among equals."""
     nb = [a & comp for a in adj]
+
+    def scored(boundary, rest, v):
+        # (size, v, boundary) once v is placed: of the placed vertices
+        # only the old boundary and v itself can still be open.
+        left = rest & ~(1 << v)
+        after = 0
+        for u in iter_bits(boundary | 1 << v):
+            if nb[u] & left:
+                after |= 1 << u
+        return after.bit_count(), v, after
+
     best_order = sorted(iter_bits(comp))
     best_width = 0
     boundary = 0
     rest = comp
     for v in best_order:
+        _, _, boundary = scored(boundary, rest, v)
         rest ^= 1 << v
-        boundary = _still_open(nb, boundary | (1 << v), rest)
         best_width = max(best_width, boundary.bit_count())
     for start in iter_bits(comp):
         order = [start]
-        rest = comp ^ (1 << start)
-        boundary = _still_open(nb, 1 << start, rest)
-        width = boundary.bit_count()
+        width, _, boundary = scored(0, comp, start)
+        rest = comp ^ 1 << start
         while rest and width < best_width:
-            size, v, boundary = min(_moves(nb, boundary, rest, comp.bit_count()))
+            size, v, boundary = min(scored(boundary, rest, v) for v in iter_bits(rest))
             width = max(width, size)
             rest ^= 1 << v
             order.append(v)
@@ -334,7 +388,7 @@ def scored_greedy_layout(adj, comp):
 
 class TestGreedyLayout:
     """_greedy_layout scores only the moves that can win, and returns the
-    width and order of the sweep that scores every unplaced vertex."""
+    width and order of the sweep that recounts every unplaced vertex."""
 
     def test_matches_the_sweep_that_scores_every_vertex(self):
         rng = random.Random(22)
@@ -807,6 +861,31 @@ class TestBoundReport:
         _, checks = width_checks(build_instance(3).graph, 3, max_seconds=1.0)
         assert time.monotonic() - start < 1.5
         assert [verdict for _, verdict in checks] == ["INDETERMINATE"] * 2
+
+    def test_pathwidth_takes_the_treewidth_lower_bound(self, monkeypatch):
+        # The treewidth search spends the shared deadline, so the
+        # pathwidth search starts past it: its greedy sweep, its
+        # contraction bound and its search all stop at once and prove
+        # nothing, and since pw >= tw its row takes treewidth's bound.
+        now = 0.0
+        monkeypatch.setattr(width_module, "time", types.SimpleNamespace(monotonic=lambda: now))
+
+        def treewidth_spending_the_deadline(graph, max_nodes, max_seconds):
+            nonlocal now
+            result = treewidth_exact(graph, 1000, max_seconds)
+            now = 10.0
+            return result
+
+        graph = build_instance(3).graph
+        _, ((tw, _), (pw, verdict)) = width_checks(
+            graph, 3, (treewidth_spending_the_deadline, pathwidth_exact), max_seconds=1.0
+        )
+        assert (tw.exact, tw.lower_bound) == (False, 5)
+        assert (pw.exact, pw.nodes_explored, verdict) == (False, 1, "INDETERMINATE")
+        assert pw.lower_bound == 5 <= pw.value
+        assert width_of_layout(graph, pw.certificate) == pw.value
+        # Alone and past its deadline, the pathwidth search proves 0.
+        assert pathwidth_exact(graph, max_seconds=-1.0).lower_bound == 0
 
     def test_greedy_bounds_keep_the_deadline(self):
         # The min-fill bound alone takes seconds on k = 5's 1,089

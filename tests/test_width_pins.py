@@ -1,11 +1,11 @@
 """Pinned search trajectories of the exact width searches.
 
 Node counts are deterministic, so they fix exactly which states the
-searches visit: move order, absorption, splitting, the order of the
-widths tried and the failed-set memo they share.  Each row records the
-width, nodes_explored and the certificate for one graph; any change to
-a search decision shows up here as a count or certificate change, not
-only as a timing change.
+searches visit: move order, the commit to a closing move, absorption,
+splitting, the order of the widths tried and the failed-set memo they
+share.  Each row records the width, nodes_explored and the certificate
+for one graph; any change to a search decision shows up here as a count
+or certificate change, not only as a timing change.
 
 The descent stops at the contraction degeneracy lower bound, which
 meets the answer on most of these graphs, so no refuting search runs
@@ -41,11 +41,11 @@ GRAPHS = {
 # (search, graph, value, nodes_explored, certificate), lower bound 0
 PINNED = [
     (pathwidth_exact, "k1", 3, 48, (0, 1, 3, 2, 4, 6, 7, 5, 8)),
-    (pathwidth_exact, "k2", 5, 15872,
+    (pathwidth_exact, "k2", 5, 15799,
      (15, 0, 1, 5, 2, 6, 10, 3, 7, 11, 20, 16, 12, 8, 4, 21, 17, 13, 9, 22,
       18, 14, 19, 23, 24)),
     (pathwidth_exact, "grid3", 3, 49, tuple(range(9))),
-    (pathwidth_exact, "grid4", 4, 755, tuple(range(16))),
+    (pathwidth_exact, "grid4", 4, 748, tuple(range(16))),
     # On the graphs above the greedy layout is optimal: the one search,
     # one below its width, fails.  Here the greedy layout has width 4 and
     # the search finds width 2, so the count and the layout also fix the
@@ -74,7 +74,7 @@ PINNED = [
 # at 3 goes.  Value and certificate are as in PINNED.
 SHIPPED_NODES = {
     (pathwidth_exact, "k1"): 0,
-    (pathwidth_exact, "k2"): 15872,
+    (pathwidth_exact, "k2"): 15799,
     (pathwidth_exact, "grid3"): 0,
     (pathwidth_exact, "grid4"): 0,
     (pathwidth_exact, "tree31"): 168,
